@@ -13,8 +13,6 @@ harness cross-verify every production path.
 from .analytic import (
     PmfTable,
     build_pmf_table,
-    family_laplace,
-    family_pgf,
     general_pmf_coefficient_form,
     tdl_pgf,
     tdl_pmf,
@@ -46,6 +44,7 @@ from .errors import (
     UnknownLaw,
     UnsupportedOuterFunction,
 )
+from .laws import family_laplace, family_pgf, sample_batch, series_pmf
 from .moments import MomentSummary, moments_from_pmf, skew_kurt_trace, tdl_moments
 from .oracle import (
     GofReport,
@@ -55,7 +54,6 @@ from .oracle import (
     empirical_pgf,
     series_binomial_power,
     series_compose_outer,
-    series_pmf,
 )
 from .params import (
     AuxParams,
@@ -90,7 +88,6 @@ from .sampler import (
     draw_tdl,
     draw_tds,
     draw_tempered_positive_stable,
-    sample_batch,
 )
 
 __version__ = "0.1.0"

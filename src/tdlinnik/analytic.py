@@ -34,7 +34,6 @@ from .coeffs import CoeffTable, _abs_binom_sequence, build_table
 from .errors import (
     DomainError,
     NumericalInstability,
-    UnknownLaw,
     UnsupportedOuterFunction,
 )
 from .params import (
@@ -142,27 +141,6 @@ def poisson_pgf(p: PoissonParams, s: float) -> float:
     return math.exp(-p.lam * (1.0 - s))
 
 
-_PGF_DISPATCH = {
-    "tdl": tdl_pgf,
-    "tds": tds_pgf,
-    "ds": ds_pgf,
-    "dl": dl_pgf,
-    "sibuya": sibuya_pgf,
-    "gds": gds_pgf,
-    "nb": nb_pgf,
-    "poisson": poisson_pgf,
-}
-
-
-def family_pgf(law: str, params, s: float) -> float:
-    """Evaluate the p.g.f. of a named integer law at s in [0, 1]."""
-    try:
-        fn = _PGF_DISPATCH[law]
-    except KeyError:
-        raise UnknownLaw(f"no p.g.f. for law {law!r}") from None
-    return fn(params, s)
-
-
 # ---------------------------------------------------------------------------
 # Laplace transforms (real argument t > 0 only)
 
@@ -213,24 +191,6 @@ def gamma_laplace(p: GammaParams, t: float) -> float:
     """Gamma transform (1 + scale*t)^(-shape)."""
     _check_t(t)
     return math.exp(-p.shape * math.log1p(p.scale * t))
-
-
-_LAPLACE_DISPATCH = {
-    "ps": ps_laplace,
-    "tps": tps_laplace,
-    "pl": pl_laplace,
-    "tpl": tpl_laplace,
-    "gamma": gamma_laplace,
-}
-
-
-def family_laplace(law: str, params, t: float) -> float:
-    """Evaluate the Laplace transform of a named positive law at real t > 0."""
-    try:
-        fn = _LAPLACE_DISPATCH[law]
-    except KeyError:
-        raise UnknownLaw(f"no Laplace transform for law {law!r}") from None
-    return fn(params, t)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import warnings
 import click
 import numpy as np
 
-from . import analytic, moments as moments_mod, oracle, sampler, selfcheck
+from . import __version__, analytic, moments as moments_mod, sampler, selfcheck
 from .errors import (
     DegenerateDistribution,
     DomainError,
@@ -32,25 +32,7 @@ from .errors import (
     UnknownLaw,
     UnsupportedOuterFunction,
 )
-from .params import (
-    GammaParams,
-    GdsSibuyaParams,
-    LinnikParams,
-    NegativeBinomialParams,
-    PoissonParams,
-    SibuyaParams,
-    StableParams,
-    TdsParams,
-    TemperedLinnikParams,
-    TemperedStableParams,
-    validate_tdl,
-)
-
-LAWS = (
-    "tdl", "tds", "dl", "ds", "ps", "tps", "pl", "tpl",
-    "nb", "sibuya", "gds", "poisson", "gamma",
-)
-INTEGER_LAWS = ("tdl", "tds", "dl", "ds", "nb", "sibuya", "gds", "poisson")
+from .laws import LAWS, sample_batch, series_pmf
 
 EXIT_CHECK_FAILURE = 1
 EXIT_DOMAIN = 2
@@ -87,52 +69,25 @@ def map_errors(fn):
     return wrapper
 
 
-def _require(name: str, value):
-    if value is None:
-        raise DomainError(f"law requires --{name}")
-    return value
-
-
-def _build_params(law, a, b, c, d, gamma, lam, theta, delta, pi, tau):
-    """Assemble the parameter record a law needs from the shared flag pool."""
-    if law == "tdl":
-        return validate_tdl(_require("a", a), _require("b", b), _require("c", c), _require("d", d))
-    if law == "tds":
-        return TdsParams(_require("a", a), _require("b", b), _require("c", c))
-    if law in ("dl", "pl"):
-        return LinnikParams(_require("gamma", gamma), _require("lambda", lam), _require("delta", delta))
-    if law in ("ds", "ps"):
-        return StableParams(_require("gamma", gamma), _require("lambda", lam))
-    if law == "tps":
-        return TemperedStableParams(_require("gamma", gamma), _require("lambda", lam), _require("theta", theta))
-    if law == "tpl":
-        return TemperedLinnikParams(
-            _require("gamma", gamma), _require("lambda", lam),
-            _require("theta", theta), _require("delta", delta),
-        )
-    if law == "nb":
-        return NegativeBinomialParams(_require("pi", pi), _require("delta", delta))
-    if law == "sibuya":
-        return SibuyaParams(_require("gamma", gamma))
-    if law == "gds":
-        return GdsSibuyaParams(_require("gamma", gamma), _require("tau", tau))
-    if law == "poisson":
-        return PoissonParams(_require("lambda", lam))
-    if law == "gamma":
-        return GammaParams(scale=_require("lambda", lam), shape=_require("delta", delta))
-    raise UnknownLaw(f"unknown law {law!r}")
+def _law_params(law: str, flags: dict):
+    """The params record of ``law``, filled from its flags in field order."""
+    entry = LAWS[law]
+    for name in entry.flags:
+        if flags[name] is None:
+            raise DomainError(f"law requires --{name}")
+    return entry.params(*(flags[name] for name in entry.flags))
 
 
 def law_options(fn):
     """The shared law/parameter flag pool."""
     decorators = [
-        click.option("--law", type=click.Choice(LAWS), default="tdl", show_default=True),
+        click.option("--law", type=click.Choice(tuple(LAWS)), default="tdl", show_default=True),
         click.option("-a", "a", type=float, default=None, help="tail exponent (tdl/tds)"),
         click.option("-b", "b", type=float, default=None, help="scale (tdl/tds)"),
         click.option("-c", "c", type=float, default=None, help="tempering in [0,1] (tdl/tds)"),
         click.option("-d", "d", type=float, default=None, help="shape >= 0 (tdl)"),
         click.option("--gamma", type=float, default=None, help="tail index"),
-        click.option("--lambda", "lam", type=float, default=None, help="scale"),
+        click.option("--lambda", type=float, default=None, help="scale"),
         click.option("--theta", type=float, default=None, help="tempering rate"),
         click.option("--delta", type=float, default=None, help="shape"),
         click.option("--pi", type=float, default=None, help="NB success probability"),
@@ -152,7 +107,7 @@ def _fmt(x: float) -> str:
 
 
 @click.group()
-@click.version_option(package_name="tdlinnik")
+@click.version_option(__version__)
 def main():
     """Tempered discrete Linnik distribution family: PMFs, moments, sampling."""
 
@@ -167,13 +122,13 @@ def main():
 @map_errors
 def cmd_pmf(law, kmax, use_oracle, fmt, out, **flags):
     """Tabulate P(X = k) for k = 0..kmax with a tail-mass footer."""
-    if law not in INTEGER_LAWS:
+    if not LAWS[law].is_count:
         raise DomainError(f"law {law!r} is continuous; no probability mass function")
-    params = _build_params(law, **flags)
+    params = _law_params(law, flags)
     if law in ("tdl", "tds") and not use_oracle:
         table = analytic.build_pmf_table(params, kmax)
     else:
-        table = oracle.series_pmf(law, params, kmax)
+        table = series_pmf(law, params, kmax)
     stream = _open_out(out)
     if fmt == "csv":
         stream.write("k,p,cumulative\n")
@@ -207,12 +162,11 @@ def cmd_pmf(law, kmax, use_oracle, fmt, out, **flags):
 @map_errors
 def cmd_sample(law, n, seed, stream, route, max_tries, out, **flags):
     """Draw n variates (newline-delimited; deterministic for a fixed seed)."""
-    params = _build_params(law, **flags)
+    params = _law_params(law, flags)
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**63))
         click.echo(f"seed: {seed}", err=True)
-    batch = sampler.sample_batch(law, params, n, seed, stream=stream,
-                                 route=route, max_tries=max_tries)
+    batch = sample_batch(law, params, n, seed, stream=stream, route=route, max_tries=max_tries)
     sink = _open_out(out)
     integral = np.issubdtype(batch.values.dtype, np.integer)
     for v in batch.values:
@@ -230,7 +184,7 @@ def cmd_moments(law, fmt, out, **flags):
     """Mean, variance, dispersion, and shape indexes of the TDL law."""
     if law != "tdl":
         raise DomainError("moment formulas are provided for the tdl law only")
-    params = _build_params(law, **flags)
+    params = _law_params(law, flags)
     summary = moments_mod.tdl_moments(params)
     stream = _open_out(out)
     fields = ["mu", "sigma2", "D", "m3", "m4", "alpha3", "alpha4"]

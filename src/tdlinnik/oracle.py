@@ -4,14 +4,14 @@ Two oracles live here:
 
 * truncated power series in extended precision (mpmath, 40 significant
   digits by default), used to extract PMF values directly as Taylor
-  coefficients of the generating functions.  This path shares nothing
-  with the finite-sum evaluation it checks: powers and exponentials of
-  series are expanded by the classical coefficient recurrences
-  (J.C.P. Miller), so it is strictly more accurate than the production
-  double-precision path.
+  coefficients of the generating functions (``series_pmf`` in :mod:`laws`
+  picks each count law's builder).  This path shares nothing with the
+  finite-sum evaluation it checks: powers and exponentials of series are
+  expanded by the classical coefficient recurrences (J.C.P. Miller), so
+  it is strictly more accurate than the production double-precision path.
 * Monte-Carlo utilities: a pooled-bin chi-square goodness-of-fit report
-  and the empirical probability generating function with its standard
-  error.
+  (its upper tail is mpmath's regularized incomplete gamma) and the
+  empirical probability generating function with its standard error.
 """
 
 from __future__ import annotations
@@ -22,14 +22,12 @@ from typing import Union
 
 import mpmath as mp
 import numpy as np
-from scipy.stats import chi2
 
-from .analytic import PmfTable, _finalize_pmf
+from .analytic import PmfTable
 from .errors import (
     DomainError,
     InsufficientSample,
     SingularComposition,
-    UnknownLaw,
     UnsupportedOuterFunction,
 )
 from .params import (
@@ -197,41 +195,6 @@ def _poisson_series(p: PoissonParams, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
-_SERIES_DISPATCH = {
-    "tdl": _tdl_series,
-    "tds": _tds_series,
-    "dl": _dl_series,
-    "ds": _ds_series,
-    "nb": _nb_series,
-    "sibuya": _sibuya_series,
-    "gds": _gds_series,
-    "poisson": _poisson_series,
-}
-
-
-def series_pmf(law: str, params, order: int) -> PmfTable:
-    """Ground-truth PMF of an integer law from its p.g.f. Taylor coefficients.
-
-    Independent of the finite-sum coefficient formulas; computed in
-    extended precision and rounded to double on return.  ``order`` is
-    capped at 200.
-    """
-    if not 0 <= order <= MAX_SERIES_ORDER:
-        raise DomainError(f"order must lie in [0, {MAX_SERIES_ORDER}], got {order}")
-    try:
-        fn = _SERIES_DISPATCH[law]
-    except KeyError:
-        raise UnknownLaw(f"no series expansion for law {law!r}") from None
-    if law == "tdl" and params.d == 0:
-        return series_pmf("tds", params.tds(), order)
-    if law in ("tdl", "tds") and params.is_degenerate:
-        raw = np.zeros(order + 1)
-        raw[0] = 1.0
-        return _finalize_pmf(law, params, raw)
-    series = fn(params, order)
-    return _finalize_pmf(law, params, series.to_floats())
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo utilities
 
@@ -281,6 +244,11 @@ def _pool_bins(expected: np.ndarray) -> list[tuple[int, int]]:
     return bins
 
 
+def _chi2_sf(x: float, dof: int) -> float:
+    """Upper chi-square tail P(X > x): the regularized upper incomplete gamma."""
+    return float(mp.gammainc(dof / 2, x / 2, regularized=True))
+
+
 def chi_square_gof(samples: SampleBatch, pmf: PmfTable) -> GofReport:
     """Pearson chi-square test of integer samples against a PMF table.
 
@@ -317,7 +285,7 @@ def chi_square_gof(samples: SampleBatch, pmf: PmfTable) -> GofReport:
     return GofReport(
         statistic=float(stat),
         dof=dof,
-        p_value=float(chi2.sf(stat, dof)),
+        p_value=_chi2_sf(stat, dof),
         bins=tuple(bins),
         n=n,
     )

@@ -4,7 +4,9 @@ All draws come from explicit :class:`RngStream` objects (PCG64 keyed by a
 64-bit seed plus a stream id), so results are reproducible bit-for-bit
 within one build.  Streams are single-owner mutable state: send them
 between threads, never share one concurrently; parallel work should use
-``stream.split(i)`` to derive independently seeded streams.
+``stream.split(i)`` to derive independently seeded streams.  Each law's
+batch sampler ``_sample_<tag>(gen, params, n, route, max_tries)`` is listed
+in the registry of :mod:`laws`; only the tdl sampler reads ``route``.
 
 Generation routes follow the mixture/compound identities of the family:
 
@@ -44,15 +46,18 @@ from .errors import (
     HeavyTailOverflow,
     IncompatibleRoute,
     RejectionBudgetExceeded,
-    UnknownLaw,
 )
 from .params import (
+    GammaParams,
     GdsSibuyaParams,
+    LinnikParams,
     NegativeBinomialParams,
+    PoissonParams,
     SibuyaParams,
     StableParams,
     TdlParams,
     TdsParams,
+    TemperedLinnikParams,
     TemperedStableParams,
 )
 
@@ -161,10 +166,10 @@ def draw_negative_binomial(r: RngStream, p: NegativeBinomialParams) -> int:
 # Sibuya and its geometric down-weighting
 
 
-def _sibuya_vec(gen: np.random.Generator, gamma: float, n: int) -> np.ndarray:
-    if gamma == 1.0:
+def _sample_sibuya(gen, p: SibuyaParams, n: int, route=None, max_tries=None) -> np.ndarray:
+    if p.gamma == 1.0:
         return np.ones(n, dtype=np.int64)
-    w = gen.beta(1.0 - gamma, gamma, size=n)
+    w = gen.beta(1.0 - p.gamma, p.gamma, size=n)
     u = 1.0 - gen.random(n)  # in (0, 1]
     # clip away the measure-zero fp endpoints of W before taking logs
     w = np.clip(w, 5e-324, np.nextafter(1.0, 0.0))
@@ -179,8 +184,7 @@ def _sibuya_vec(gen: np.random.Generator, gamma: float, n: int) -> np.ndarray:
 
 def draw_sibuya(r: RngStream, gamma: float) -> int:
     """One Sibuya(gamma) variate on {1, 2, ...}; gamma = 1 is the constant 1."""
-    SibuyaParams(gamma)  # domain check
-    return int(_sibuya_vec(r.generator, gamma, 1)[0])
+    return int(_sample_sibuya(r.generator, SibuyaParams(gamma), 1)[0])
 
 
 def _gds_pmf_cdf(gamma: float, tau: float, cap: int = 10**7) -> np.ndarray:
@@ -210,12 +214,12 @@ def _gds_pmf_cdf(gamma: float, tau: float, cap: int = 10**7) -> np.ndarray:
     return np.cumsum(probs)
 
 
-def _gds_vec(gen: np.random.Generator, gamma: float, tau: float, n: int) -> np.ndarray:
-    if tau == 1.0:
-        return _sibuya_vec(gen, gamma, n)
+def _sample_gds(gen, p: GdsSibuyaParams, n: int, route=None, max_tries=None) -> np.ndarray:
+    if p.tau == 1.0:
+        return _sample_sibuya(gen, SibuyaParams(p.gamma), n)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    cdf = _gds_pmf_cdf(gamma, tau)
+    cdf = _gds_pmf_cdf(p.gamma, p.tau)
     u = gen.random(n)
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
@@ -226,8 +230,7 @@ def draw_gds_sibuya(r: RngStream, gamma: float, tau: float) -> int:
     Sequential inversion against the damped pmf recurrence; tau = 1
     reduces to the plain Sibuya law (whose P(0) is zero).
     """
-    GdsSibuyaParams(gamma, tau)  # domain check
-    return int(_gds_vec(r.generator, gamma, tau, 1)[0])
+    return int(_sample_gds(r.generator, GdsSibuyaParams(gamma, tau), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -318,34 +321,30 @@ def draw_tempered_positive_stable(
 # the discrete hierarchy
 
 
-def _poisson_intensity_guard(t: np.ndarray) -> np.ndarray:
+def _poisson_mix(gen: np.random.Generator, t: np.ndarray) -> np.ndarray:
+    """Poisson(t) draws for mixing intensities t, guarded against blowups."""
     if np.any(t > _POISSON_LAM_CAP):
         raise HeavyTailOverflow(
             "Poisson mixing intensity exceeded the generator cap "
             f"{_POISSON_LAM_CAP:g} (heavy-tailed mixture draw)"
         )
-    return t
+    return gen.poisson(t)
 
 
-def _tds_vec(
-    gen: np.random.Generator,
-    p: TdsParams,
-    n: int,
-    max_tries: int = DEFAULT_MAX_TRIES,
-) -> np.ndarray:
+def _sample_tds(gen, p: TdsParams, n, route, max_tries) -> np.ndarray:
     """Tempered discrete stable via Poisson(TPS(a, b c^a, 1/c - 1))."""
     if p.is_degenerate:
         return np.zeros(n, dtype=np.int64)
     theta = 1.0 / p.c - 1.0
     t = _tps_vec(gen, p.a, p.b * p.c**p.a, theta, n, max_tries)
-    return gen.poisson(_poisson_intensity_guard(t))
+    return _poisson_mix(gen, t)
 
 
 def _tdl_route_a(gen, p: TdlParams, n, max_tries) -> np.ndarray:
     v = gen.gamma(shape=1.0 / p.d, scale=p.b * p.d * p.c**p.a, size=n)
     theta = 1.0 / p.c - 1.0
     t = _tps_vec(gen, p.a, v, theta, n, max_tries)
-    return gen.poisson(_poisson_intensity_guard(t))
+    return _poisson_mix(gen, t)
 
 
 def _tdl_route_b(gen, p: TdlParams, n, max_tries) -> np.ndarray:
@@ -353,7 +352,7 @@ def _tdl_route_b(gen, p: TdlParams, n, max_tries) -> np.ndarray:
     g1 = gen.gamma(shape=1.0 / p.d, scale=p.b * p.d * omc_a, size=n)
     n1 = gen.poisson(g1)
     g2 = gen.gamma(shape=-p.a * n1, scale=p.c / (1.0 - p.c))
-    return gen.poisson(_poisson_intensity_guard(g2))
+    return _poisson_mix(gen, g2)
 
 
 def _tdl_route_c(gen, p: TdlParams, n, max_tries) -> np.ndarray:
@@ -370,7 +369,7 @@ def _tdl_route_d(gen, p: TdlParams, n, max_tries) -> np.ndarray:
     bd = p.b * p.d
     z = _nb_vec(gen, bd / (1.0 + bd), 1.0 / p.d, n)
     total = int(z.sum())
-    w = _gds_vec(gen, p.a, p.c, total)
+    w = _sample_gds(gen, GdsSibuyaParams(p.a, p.c), total)
     csum = np.concatenate(([0], np.cumsum(w)))
     ends = np.cumsum(z)
     return (csum[ends] - csum[ends - z]).astype(np.int64)
@@ -384,7 +383,7 @@ _TDL_ROUTE_FNS = {
 }
 
 
-def _tdl_vec(
+def _sample_tdl(
     gen: np.random.Generator,
     p: TdlParams,
     n: int,
@@ -401,7 +400,7 @@ def _tdl_vec(
     if route == "d" and not 0.0 < p.a <= 1.0:
         raise IncompatibleRoute(f"route 'd' requires a in (0, 1], got a = {p.a}")
     if p.d == 0:
-        return _tds_vec(gen, p.tds(), n, max_tries)
+        return _sample_tds(gen, p.tds(), n, route, max_tries)
     return _TDL_ROUTE_FNS[route](gen, p, n, max_tries)
 
 
@@ -418,76 +417,56 @@ def draw_tdl(
     The d == 0 record dispatches to the tempered discrete stable sampler
     regardless of route.
     """
-    return int(_tdl_vec(r.generator, p, 1, route, max_tries)[0])
+    return int(_sample_tdl(r.generator, p, 1, route, max_tries)[0])
 
 
 def draw_tds(
     r: RngStream, p: TdsParams, max_tries: int = DEFAULT_MAX_TRIES
 ) -> int:
     """One tempered discrete stable (Poisson-Tweedie) variate."""
-    return int(_tds_vec(r.generator, p, 1, max_tries)[0])
+    return int(_sample_tds(r.generator, p, 1, None, max_tries)[0])
 
 
 # ---------------------------------------------------------------------------
-# batch front end
+# the remaining per-law samplers
 
 
-def _sample_law(
-    gen: np.random.Generator,
-    law: str,
-    params,
-    n: int,
-    route: str,
-    max_tries: int,
-) -> np.ndarray:
-    if law == "tdl":
-        return _tdl_vec(gen, params, n, route, max_tries)
-    if law == "tds":
-        return _tds_vec(gen, params, n, max_tries)
-    if law == "ds":
-        t = _ps_vec(gen, params.gamma, params.lam, n)
-        return gen.poisson(_poisson_intensity_guard(t))
-    if law == "dl":
-        v = gen.gamma(shape=params.delta, scale=params.lam / params.delta, size=n)
-        t = _ps_vec(gen, params.gamma, v, n)
-        return gen.poisson(_poisson_intensity_guard(t))
-    if law == "ps":
-        return _ps_vec(gen, params.gamma, params.lam, n)
-    if law == "tps":
-        return _tps_vec(gen, params.gamma, params.lam, params.theta, n, max_tries)
-    if law == "pl":
-        v = gen.gamma(shape=params.delta, scale=params.lam / params.delta, size=n)
-        return _ps_vec(gen, params.gamma, v, n)
-    if law == "tpl":
-        v = gen.gamma(shape=params.delta, scale=params.lam / params.delta, size=n)
-        return _tps_vec(gen, params.gamma, v, params.theta, n, max_tries)
-    if law == "nb":
-        return _nb_vec(gen, params.pi, params.delta, n)
-    if law == "sibuya":
-        return _sibuya_vec(gen, params.gamma, n)
-    if law == "gds":
-        return _gds_vec(gen, params.gamma, params.tau, n)
-    if law == "poisson":
-        return gen.poisson(params.lam, size=n)
-    if law == "gamma":
-        return gen.gamma(shape=params.shape, scale=params.scale, size=n)
-    raise UnknownLaw(f"no sampler for law {law!r}")
+def _linnik_scales(gen: np.random.Generator, p, n: int) -> np.ndarray:
+    """Gamma(delta, lam/delta) mixing scales of the (tempered) Linnik laws."""
+    return gen.gamma(shape=p.delta, scale=p.lam / p.delta, size=n)
 
 
-def sample_batch(
-    law: str,
-    params,
-    n: int,
-    seed: int,
-    stream: int = 0,
-    route: str = "a",
-    max_tries: int = DEFAULT_MAX_TRIES,
-) -> SampleBatch:
-    """Draw n variates of a named law from a fresh (seed, stream) stream."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    r = RngStream(seed, stream)
-    values = _sample_law(r.generator, law, params, n, route, max_tries)
-    return SampleBatch(
-        law=law, params=params, n=n, values=values, seed=seed, stream=stream
-    )
+def _sample_ds(gen, p: StableParams, n, route, max_tries):
+    return _poisson_mix(gen, _ps_vec(gen, p.gamma, p.lam, n))
+
+
+def _sample_dl(gen, p: LinnikParams, n, route, max_tries):
+    return _poisson_mix(gen, _ps_vec(gen, p.gamma, _linnik_scales(gen, p, n), n))
+
+
+def _sample_ps(gen, p: StableParams, n, route, max_tries):
+    return _ps_vec(gen, p.gamma, p.lam, n)
+
+
+def _sample_tps(gen, p: TemperedStableParams, n, route, max_tries):
+    return _tps_vec(gen, p.gamma, p.lam, p.theta, n, max_tries)
+
+
+def _sample_pl(gen, p: LinnikParams, n, route, max_tries):
+    return _ps_vec(gen, p.gamma, _linnik_scales(gen, p, n), n)
+
+
+def _sample_tpl(gen, p: TemperedLinnikParams, n, route, max_tries):
+    return _tps_vec(gen, p.gamma, _linnik_scales(gen, p, n), p.theta, n, max_tries)
+
+
+def _sample_nb(gen, p: NegativeBinomialParams, n, route, max_tries):
+    return _nb_vec(gen, p.pi, p.delta, n)
+
+
+def _sample_poisson(gen, p: PoissonParams, n, route, max_tries):
+    return gen.poisson(p.lam, size=n)
+
+
+def _sample_gamma(gen, p: GammaParams, n, route, max_tries):
+    return gen.gamma(shape=p.shape, scale=p.scale, size=n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic, coeffs, moments, oracle, sampler
+from . import analytic, coeffs, laws, moments, oracle
 from .params import (
     GdsSibuyaParams,
     LinnikParams,
@@ -116,12 +116,12 @@ def _check_oracle(reduced: bool) -> CheckResult:
     for a, b, c, d in pts:
         p = TdlParams(a, b, c, d)
         table = analytic.build_pmf_table(p, order)
-        ref = oracle.series_pmf("tdl", p, order)
+        ref = laws.series_pmf("tdl", p, order)
         rel = np.abs(table.p - ref.p) / np.maximum(np.abs(ref.p), 1e-13)
         worst = max(worst, float(rel.max()))
         tds = TdsParams(a, b, c)
         table = analytic.build_pmf_table(tds, order)
-        ref = oracle.series_pmf("tds", tds, order)
+        ref = laws.series_pmf("tds", tds, order)
         rel = np.abs(table.p - ref.p) / np.maximum(np.abs(ref.p), 1e-13)
         worst = max(worst, float(rel.max()))
     return CheckResult(
@@ -196,7 +196,7 @@ def _check_samplers(reduced: bool, seed: int) -> CheckResult:
     min_p = 1.0
     for i, (p, route) in enumerate(cases):
         table = analytic.build_pmf_table(p, 200)
-        batch = sampler.sample_batch("tdl", p, n, seed, stream=i, route=route)
+        batch = laws.sample_batch("tdl", p, n, seed, stream=i, route=route)
         report = oracle.chi_square_gof(batch, table)
         min_p = min(min_p, report.p_value)
         if not report.passed:
@@ -209,8 +209,8 @@ def _check_samplers(reduced: bool, seed: int) -> CheckResult:
 
 def _check_determinism(seed: int) -> CheckResult:
     p = TdlParams(0.5, 1.0, 0.5, 1.0)
-    a = sampler.sample_batch("tdl", p, 500, seed, route="a")
-    b = sampler.sample_batch("tdl", p, 500, seed, route="a")
+    a = laws.sample_batch("tdl", p, 500, seed, route="a")
+    b = laws.sample_batch("tdl", p, 500, seed, route="a")
     same = bool(np.array_equal(a.values, b.values))
     return CheckResult("sampler-determinism", same, "identical batches" if same else "mismatch")
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -232,3 +236,22 @@ class TestOutputFiles:
         )
         assert res.exit_code == 0
         assert target.read_text().startswith("k,p,cumulative")
+
+
+class TestStartup:
+    def test_version_from_source_checkout(self, runner):
+        res = runner.invoke(main, ["--version"])
+        assert res.exit_code == 0
+        assert res.output.split()[-1] == "0.1.0"
+
+    def test_import_does_not_load_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys, tdlinnik, tdlinnik.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "[]"

@@ -22,7 +22,7 @@ from tdlinnik import (
     series_pmf,
 )
 from tdlinnik.analytic import PmfTable
-from tdlinnik.oracle import TruncatedSeries
+from tdlinnik.oracle import TruncatedSeries, _chi2_sf
 from tdlinnik.sampler import SampleBatch
 
 
@@ -188,6 +188,27 @@ class TestChiSquareGof:
         batch = sample_batch("poisson", PoissonParams(4.0), 100, 1)
         with pytest.raises(InsufficientSample):
             chi_square_gof(batch, pmf)
+
+
+class TestChiSquareTail:
+    """The p-value tail is mpmath's regularized upper incomplete gamma."""
+
+    XS = [0.0] + list(np.geomspace(1e-6, 200.0, 80))
+
+    @pytest.mark.parametrize(
+        "dof, closed",
+        [
+            (2, lambda x: math.exp(-x / 2)),
+            (4, lambda x: math.exp(-x / 2) * (1 + x / 2)),
+        ],
+    )
+    def test_closed_forms(self, dof, closed):
+        for x in self.XS:
+            assert _chi2_sf(x, dof) == pytest.approx(closed(x), rel=1e-12, abs=0), x
+
+    def test_zero_statistic_is_exactly_one(self):
+        for dof in range(1, 50):
+            assert _chi2_sf(0.0, dof) == 1.0
 
 
 class TestEmpiricalPgf:
