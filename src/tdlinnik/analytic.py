@@ -15,11 +15,14 @@ and tempered discrete Linnik laws are the finite sums
 Both are specializations of the same coefficient form with outer function
 exp(x) resp. x^(-1/d); see :func:`general_pmf_coefficient_form`.  Every
 term of the m-sum carries the same sign, so the sums themselves are
-cancellation-free; :func:`build_pmf_table` additionally folds the damping
-factor c^k and the m-weights into one convolution ladder so that whole
-tables stay inside the normal floating-point range out to k of several
-hundred (the raw coefficients overflow double precision for a < 0 around
-k ~ 150 while c^k underflows, even though their products are harmless).
+cancellation-free, but the raw coefficients overflow double precision for
+a < 0 around k ~ 150 while c^k underflows.  :func:`build_pmf_table`
+therefore reads the m-sum as a compound law, a Poisson (TDS) or negative
+binomial (TDL) number of jumps with weights |binom(a, j)| c^j, and
+evaluates it by Panjer's recursion: O(kmax^2) work, all-positive terms,
+and a running power-of-two scale, so whole tables stay accurate out to k
+in the thousands even where P(X = 0) underflows.  The finite sum itself
+remains the reference path the tests check the tables against.
 """
 
 from __future__ import annotations
@@ -56,6 +59,13 @@ INSTABILITY_TOLERANCE = 1e-6
 
 #: default table size for PMF evaluation (CLI exposes an override)
 DEFAULT_KMAX = 60
+
+_LN2 = math.log(2.0)
+
+#: the Panjer recursion shifts its scaled values down by 2^_RESCALE_BITS
+#: once one passes _RESCALE_AT, far below overflow
+_RESCALE_BITS = 800
+_RESCALE_AT = 2.0**_RESCALE_BITS
 
 
 def _check_s(s: float) -> None:
@@ -337,46 +347,58 @@ def tds_pmf(p: TdsParams, k: int, table: CoeffTable | None = None) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def _pmf_ladder(
-    a: float, b: float, c: float, kmax: int, *, d: float | None
-) -> np.ndarray:
+def _panjer(a: float, b: float, c: float, kmax: int, *, d: float | None) -> np.ndarray:
     """All-positive evaluation of the finite-sum PMF for k = 0..kmax.
 
-    Rewrites the m-sum as sum_m G_m W_m[k] where W_m is the m-th convolution
-    power of |binom(a, j)| c^j (so the damping c^k is folded in) and the
-    weights G_m > 0 absorb the outer-derivative factors:
+    The law is compound: a Poisson (d None, the tempered discrete stable
+    law) or negative binomial (d > 0) primary with jump weights
+    r_j = |binom(a, j)| c^j.  Panjer's (a, b, 0) recursion gives
 
-        d > 0:  G_0 = x0^(-1/d),  G_m/G_{m-1} = (1/d + m - 1)/m * (b d / x0)
-        d None (tempered discrete stable):
-                G_0 = exp(-sgn(a) b h),  G_m/G_{m-1} = b/m
+        g_k = sum_{j=1..k} (A + B j/k) r_j g_{k-j}
+        d None:  g_0 = exp(-sgn(a) b h),  A = 0, B = b
+        d > 0:   g_0 = x0^(-1/d),         A = y, B = y (1/d - 1)
 
-    with h = 1 - (1-c)^a and x0 = 1 + sgn(a) b d h.  Identical in exact
-    arithmetic to the double sum; free of overflow and cancellation.
+    with h = 1 - (1-c)^a, x0 = 1 + sgn(a) b d h and y = b d / x0.  Writing
+    A + B j/k = A (k-j)/k + (A + B) j/k gives two dot products with
+    non-negative weights whatever the sign of B, so no term cancels.  The
+    recursion runs on g_k / 2^e, starting from log g_0 and raising e
+    whenever the scaled values grow large, so a g_0 that underflows double
+    precision still yields the mass lying inside kmax.
     """
-    out = np.zeros(kmax + 1)
+    g = np.zeros(kmax + 1)
     if a == 0 or c == 0:
-        out[0] = 1.0
-        return out
+        g[0] = 1.0
+        return g
     h = 1.0 - _pow_one_minus(c, a)
     s = sgn(a)
-    r = _abs_binom_sequence(a, kmax, damp=c)
     if d is None:
-        g0 = math.exp(-s * b * h)
+        log_g0 = -s * b * h
+        A, A_plus_B = 0.0, b
     else:
         arg = s * b * d * h
-        g0 = math.exp(-math.log1p(arg) / d)  # (1 + sgn(a) b d h)^(-1/d)
-        x0 = 1.0 + arg
-        y = b * d / x0
-    cur = np.zeros(kmax + 1)
-    cur[0] = g0
-    out += cur
-    for m in range(1, kmax + 1):
-        ratio = b / m if d is None else (1.0 / d + m - 1.0) / m * y
-        cur = ratio * np.convolve(cur, r)[: kmax + 1]
-        out += cur
-        if cur.max() < 1e-320:
-            break
-    return out
+        log_g0 = -math.log1p(arg) / d  # log (1 + sgn(a) b d h)^(-1/d)
+        A = b * d / (1.0 + arg)
+        A_plus_B = A / d
+    r = _abs_binom_sequence(a, kmax, damp=c)
+    # reversed, so that each step dots contiguous slices:
+    # sum_{j=1..k} r_j g_{k-j} = dot(rev_r[kmax-k : kmax], g[:k])
+    rev_r = r[::-1].copy()
+    rev_jr = (np.arange(kmax + 1) * r)[::-1].copy()
+    kg = np.zeros(kmax + 1)  # k g_k, on the same scale as g
+    e = math.floor(log_g0 / _LN2)
+    g[0] = math.exp(log_g0 - e * _LN2)
+    for k in range(1, kmax + 1):
+        lo = kmax - k
+        gk = float(
+            A * np.dot(rev_r[lo:kmax], kg[:k]) + A_plus_B * np.dot(rev_jr[lo:kmax], g[:k])
+        ) / k
+        g[k] = gk
+        kg[k] = k * gk
+        if gk > _RESCALE_AT:
+            g[: k + 1] = np.ldexp(g[: k + 1], -_RESCALE_BITS)
+            kg[: k + 1] = np.ldexp(kg[: k + 1], -_RESCALE_BITS)
+            e += _RESCALE_BITS
+    return np.ldexp(g, e)
 
 
 def build_pmf_table(p: Union[TdlParams, TdsParams], kmax: int) -> PmfTable:
@@ -391,11 +413,11 @@ def build_pmf_table(p: Union[TdlParams, TdsParams], kmax: int) -> PmfTable:
         raise DomainError(f"kmax must be >= 0, got {kmax}")
     if isinstance(p, TdlParams):
         if p.d == 0:
-            raw = _pmf_ladder(p.a, p.b, p.c, kmax, d=None)
+            raw = _panjer(p.a, p.b, p.c, kmax, d=None)
             return _finalize_pmf("tds", p.tds(), raw)
-        raw = _pmf_ladder(p.a, p.b, p.c, kmax, d=p.d)
+        raw = _panjer(p.a, p.b, p.c, kmax, d=p.d)
         return _finalize_pmf("tdl", p, raw)
     if isinstance(p, TdsParams):
-        raw = _pmf_ladder(p.a, p.b, p.c, kmax, d=None)
+        raw = _panjer(p.a, p.b, p.c, kmax, d=None)
         return _finalize_pmf("tds", p, raw)
     raise DomainError(f"expected TdlParams or TdsParams, got {type(p).__name__}")

@@ -47,6 +47,9 @@ _EXIT_CODES = (
     ((DomainError, UnknownLaw, UnsupportedOuterFunction, IncompatibleRoute, EmptyGrid), EXIT_DOMAIN),
 )
 
+#: values formatted and written per stdout write by ``sample``
+_SAMPLE_CHUNK = 1 << 16
+
 
 def _exit_code(exc: TdlError) -> int:
     for types, code in _EXIT_CODES:
@@ -74,7 +77,8 @@ def _law_params(law: str, flags: dict):
     entry = LAWS[law]
     for name in entry.flags:
         if flags[name] is None:
-            raise DomainError(f"law requires --{name}")
+            dashes = "-" if len(name) == 1 else "--"
+            raise DomainError(f"law requires {dashes}{name}")
     return entry.params(*(flags[name] for name in entry.flags))
 
 
@@ -168,9 +172,12 @@ def cmd_sample(law, n, seed, stream, route, max_tries, out, **flags):
         click.echo(f"seed: {seed}", err=True)
     batch = sample_batch(law, params, n, seed, stream=stream, route=route, max_tries=max_tries)
     sink = _open_out(out)
-    integral = np.issubdtype(batch.values.dtype, np.integer)
-    for v in batch.values:
-        sink.write(f"{int(v)}\n" if integral else f"{_fmt(v)}\n")
+    # one write per chunk of Python scalars: a write and a numpy scalar
+    # conversion per value cost several times the draws themselves
+    values = batch.values if np.issubdtype(batch.values.dtype, np.integer) else (
+        batch.values.astype(float, copy=False))
+    for lo in range(0, len(values), _SAMPLE_CHUNK):
+        sink.write("".join(f"{v!r}\n" for v in values[lo : lo + _SAMPLE_CHUNK].tolist()))
     if out:
         sink.close()
 

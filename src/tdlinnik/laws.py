@@ -90,8 +90,14 @@ def _lookup(tag: str, params, what: str, count: bool | None = None) -> Law:
 
 
 def family_pgf(law: str, params, s: float) -> float:
-    """Evaluate the p.g.f. of a named integer law at s in [0, 1]."""
-    return _lookup(law, params, "p.g.f.", count=True).transform(params, s)
+    """Evaluate the p.g.f. of a named integer law at s in [0, 1].
+
+    A d == 0 TDL record is evaluated as its tds law.
+    """
+    transform = _lookup(law, params, "p.g.f.", count=True).transform
+    if law == "tdl" and params.d == 0:
+        return analytic.tds_pgf(params.tds(), s)
+    return transform(params, s)
 
 
 def family_laplace(law: str, params, t: float) -> float:

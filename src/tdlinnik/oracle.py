@@ -92,10 +92,10 @@ def series_binomial_power(c: float, a: float, order: int) -> TruncatedSeries:
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
     with mp.workdps(ORACLE_DPS):
-        cm, am = mp.mpf(c), mp.mpf(a)
+        ncm, am = -mp.mpf(c), mp.mpf(a)
         out = [mp.mpf(1)]
         for k in range(order):
-            out.append(out[-1] * (am - k) / (k + 1) * (-cm))
+            out.append(out[-1] * ncm * (am - k) / (k + 1))
     return TruncatedSeries(tuple(out))
 
 
@@ -111,27 +111,30 @@ def series_compose_outer(inner: TruncatedSeries, outer: OuterTag) -> TruncatedSe
     order = inner.order
     a = inner.coeffs
     with mp.workdps(ORACLE_DPS):
+        # each inner sum is one mp.fdot (exact products, rounded once) over
+        # precomputed lists; the b lists are kept reversed, b_rev[i] = b_{n-1-i}
         if outer == "exp":
-            b = [mp.e ** a[0]]
+            ja = [j * a[j] for j in range(order + 1)]
+            b_rev = [mp.e ** a[0]]
             for n in range(1, order + 1):
-                acc = mp.mpf(0)
-                for j in range(1, n + 1):
-                    acc += j * a[j] * b[n - j]
-                b.append(acc / n)
-            return TruncatedSeries(tuple(b))
+                b_rev.insert(0, mp.fdot(ja[1 : n + 1], b_rev) / n)
+            return TruncatedSeries(tuple(reversed(b_rev)))
         if isinstance(outer, tuple) and len(outer) == 2 and outer[0] == "power":
             p = mp.mpf(outer[1])
             if a[0] <= 0:
                 raise SingularComposition(
                     f"power composition needs a positive constant term, got {a[0]}"
                 )
-            b = [a[0] ** p]
+            # (j(p+1) - n) a_j b_{n-j} = (p j a_j) b_{n-j} + a_j (-(n-j) b_{n-j})
+            pja = tuple(p * j * a[j] for j in range(order + 1))
+            b_rev = [a[0] ** p]
+            neg_kb_rev = [mp.mpf(0)]  # -k b_k, reversed like b_rev
             for n in range(1, order + 1):
-                acc = mp.mpf(0)
-                for j in range(1, n + 1):
-                    acc += (j * (p + 1) - n) * a[j] * b[n - j]
-                b.append(acc / (n * a[0]))
-            return TruncatedSeries(tuple(b))
+                acc = mp.fdot(pja[1 : n + 1] + a[1 : n + 1], b_rev + neg_kb_rev)
+                bn = acc / (n * a[0])
+                b_rev.insert(0, bn)
+                neg_kb_rev.insert(0, -n * bn)
+            return TruncatedSeries(tuple(reversed(b_rev)))
     raise UnsupportedOuterFunction(f"outer must be 'exp' or ('power', p), got {outer!r}")
 
 

@@ -182,6 +182,7 @@ class TestAcceptance:
 
     def test_criterion_4_moment_formulas(self):
         """Closed moments match PMF sums: 1e-7 (mu, sigma2, D, m3), 1e-5 (m4)."""
+        K0 = 3200  # first-pass table size
         included = 0
         skipped = 0
         worst = {"mu": 0.0, "sigma2": 0.0, "D": 0.0, "m3": 0.0, "m4": 0.0}
@@ -194,7 +195,7 @@ class TestAcceptance:
                     mu_bitwise &= len(mus) == 1
                     for d in D_GRID:
                         p = TdlParams(a, b, c, d)
-                        table = build_pmf_table(p, 400)
+                        table = build_pmf_table(p, K0)
                         if not table.tail_mass < 1e-9:
                             skipped += 1
                             continue
@@ -204,11 +205,11 @@ class TestAcceptance:
                         # at summation rounding ~1e-14, so it cannot drive
                         # this decision); the far tail decays geometrically,
                         # so size the extension from the measured decay rate
-                        if table.p[400] > 0.0 and table.p[399] > 0.0:
-                            rho = min(max(table.p[400] / table.p[399], 1e-6), 0.995)
-                            if table.p[400] > 1e-24:
-                                extra = math.log(1e-24 / table.p[400]) / math.log(rho)
-                                kmax = min(3200, 500 + int(extra))
+                        if table.p[K0] > 0.0 and table.p[K0 - 1] > 0.0:
+                            rho = min(max(table.p[K0] / table.p[K0 - 1], 1e-6), 0.995)
+                            if table.p[K0] > 1e-24:
+                                extra = math.log(1e-24 / table.p[K0]) / math.log(rho)
+                                kmax = min(8 * K0, K0 + 100 + int(extra))
                                 table = build_pmf_table(p, kmax)
                         want = tdl_moments(p)
                         got = moments_from_pmf(table)
@@ -241,7 +242,7 @@ class TestAcceptance:
             "moment formulas",
             passed,
             f"{included} grid points checked ({skipped} skipped: tail >= 1e-9 "
-            f"at kmax = 400); worst rel errs mu {worst['mu']:.1e}, sigma2 "
+            f"at kmax = {K0}); worst rel errs mu {worst['mu']:.1e}, sigma2 "
             f"{worst['sigma2']:.1e}, D {worst['D']:.1e}, m3 {worst['m3']:.1e}, "
             f"m4 {worst['m4']:.1e}; mu bitwise d-independent: {mu_bitwise}",
         )

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,9 @@ from tdlinnik import (
     family_laplace,
     family_pgf,
     general_pmf_coefficient_form,
+    moments_from_pmf,
     series_pmf,
+    tdl_moments,
     tdl_pgf,
     tdl_pmf,
     tds_pgf,
@@ -77,6 +80,11 @@ class TestPgfs:
     def test_d_zero_raises(self):
         with pytest.raises(DomainError):
             tdl_pgf(TdlParams(0.5, 1.0, 0.5, 0.0), 0.5)
+
+    def test_family_pgf_serves_d_zero_tdl_as_tds(self):
+        p = TdlParams(0.5, 1.0, 0.5, 0.0)
+        for s in (0.0, 0.5, 1.0):
+            assert family_pgf("tdl", p, s) == tds_pgf(p.tds(), s)
 
     def test_s_outside_unit_interval_rejected(self):
         with pytest.raises(DomainError):
@@ -344,6 +352,47 @@ class TestBuildPmfTable:
     def test_wrong_params_type_rejected(self):
         with pytest.raises(DomainError):
             build_pmf_table(StableParams(0.5, 1.0), 5)
+
+
+class TestPanjer:
+    @pytest.mark.parametrize("d", [0.0, 0.25, 4.0])
+    @pytest.mark.parametrize("c", [0.5, 0.95])
+    @pytest.mark.parametrize("a", [-1.5, -1.0, 0.5, 1.0])
+    def test_matches_oracle_at_order_200(self, a, c, d):
+        p = TdlParams(a, 1.5, c, d)
+        got = build_pmf_table(p, 200).p
+        ref = series_pmf("tdl", p, 200).p
+        rel = np.abs(got - ref) / np.maximum(ref, 1e-290)
+        assert rel.max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [0.0, 0.0005])
+    def test_underflowing_p0_keeps_the_mass_inside_kmax(self, d):
+        # P(0) is about 1e-382 (d = 0) or 5e-317 (d = 0.0005), below the
+        # normal double range; the mean is about 1060 and the sd about 40
+        # to 46, far inside kmax = 2000
+        p = TdlParams(0.5, 3000.0, 0.5, d)
+        table = build_pmf_table(p, 2000)
+        assert table.p[0] < 1e-307
+        assert table.tail_mass < 1e-9
+        got, want = moments_from_pmf(table), tdl_moments(p)
+        assert got.mu == pytest.approx(want.mu, rel=1e-7)
+        assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-7)
+
+    def test_mass_beyond_kmax_stays_in_the_tail(self):
+        # compound Poisson(2000) of geometric(1/2) jumps (Polya-Aeppli),
+        # mean 4000 and sd about 110: all but about 3e-100 of the mass lies
+        # beyond kmax = 2000, and the entries below k ~ 850 underflow
+        table = build_pmf_table(TdlParams(-1.0, 2000.0, 0.5, 0.0), 2000)
+        assert table.tail_mass > 1.0 - 1e-9
+        assert not table.p[:850].any()
+        k = 2000
+        with mp.workdps(30):
+            lam = mp.mpf(2000)
+            want = mp.fsum(
+                mp.exp(-lam) * lam**n / mp.factorial(n) * mp.binomial(k - 1, n - 1)
+                for n in range(1, k + 1)
+            ) * mp.mpf(2) ** -k
+        assert table.p[k] == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
 class TestCompoundIdentities:

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from tdlinnik import coeffs
-from tdlinnik.cli import main
+from tdlinnik import StableParams, TdlParams, coeffs, sample_batch
+from tdlinnik.cli import _SAMPLE_CHUNK, main
 
 
 @pytest.fixture()
@@ -79,6 +79,11 @@ class TestPmfCommand:
         assert res.exit_code == 2
         assert "--delta" in res.output
 
+    def test_missing_short_flag_named_with_one_dash(self, runner):
+        res = runner.invoke(main, ["pmf", "--law", "tdl", "-a", "0.5", "-b", "1", "-c", "0.5"])
+        assert res.exit_code == 2
+        assert "law requires -d" in res.output
+
 
 class TestSampleCommand:
     def test_deterministic_runs(self, runner):
@@ -92,6 +97,17 @@ class TestSampleCommand:
         assert a.output == b.output
         assert len(a.output.strip().splitlines()) == 10
         assert all(int(x) >= 0 for x in a.output.split())
+
+    @pytest.mark.parametrize("law, flags, params, fmt", [
+        ("tdl", "-a -1 -b 1 -c 0.9 -d 0.5", TdlParams(-1.0, 1.0, 0.9, 0.5), lambda v: str(int(v))),
+        ("ps", "--gamma 0.5 --lambda 1", StableParams(0.5, 1.0), lambda v: repr(float(v))),
+    ])
+    def test_output_across_write_chunks_is_one_line_per_draw(self, runner, law, flags, params, fmt):
+        n = _SAMPLE_CHUNK + 3
+        res = invoke(runner, "sample", "--law", law, *flags.split(), "-n", str(n), "--seed", "5")
+        assert res.exit_code == 0
+        values = sample_batch(law, params, n, 5).values
+        assert res.output == "".join(f"{fmt(v)}\n" for v in values)
 
     def test_route_flag(self, runner):
         res = invoke(

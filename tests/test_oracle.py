@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -22,7 +23,7 @@ from tdlinnik import (
     series_pmf,
 )
 from tdlinnik.analytic import PmfTable
-from tdlinnik.oracle import TruncatedSeries, _chi2_sf
+from tdlinnik.oracle import ORACLE_DPS, TruncatedSeries, _chi2_sf
 from tdlinnik.sampler import SampleBatch
 
 
@@ -84,6 +85,30 @@ class TestComposeOuter:
             once = series_compose_outer(inner, ("power", -1.0 / d))
             back = series_compose_outer(once, ("power", -d))
             assert back.to_floats() == pytest.approx(inner.to_floats(), rel=1e-12)
+
+    @pytest.mark.parametrize("outer", ["exp", ("power", -1.0 / 0.3), ("power", 2.5)])
+    def test_matches_naive_miller_loop_at_order_60(self, outer):
+        inner = series_binomial_power(0.95, -1.5, 60)
+        with mp.workdps(ORACLE_DPS):
+            u = inner.scaled(-0.3).shifted_constant(1 + 0.3 * mp.mpf(0.05) ** -1.5)
+            a = u.coeffs
+            if outer == "exp":
+                b = [mp.e ** a[0]]
+                for n in range(1, 61):
+                    acc = mp.mpf(0)
+                    for j in range(1, n + 1):
+                        acc += j * a[j] * b[n - j]
+                    b.append(acc / n)
+            else:
+                p = mp.mpf(outer[1])
+                b = [a[0] ** p]
+                for n in range(1, 61):
+                    acc = mp.mpf(0)
+                    for j in range(1, n + 1):
+                        acc += (j * (p + 1) - n) * a[j] * b[n - j]
+                    b.append(acc / (n * a[0]))
+            got = series_compose_outer(u, outer).coeffs
+            assert max(abs(x - y) / abs(y) for x, y in zip(got, b)) <= mp.mpf("1e-35")
 
     def test_singular_constant_term(self):
         inner = TruncatedSeries((0.0, 1.0, 0.5))
