@@ -75,19 +75,6 @@ from .params import (
     reduce_special_case,
     validate_tdl,
 )
-from .sampler import (
-    RngStream,
-    SampleBatch,
-    binomial_thin,
-    draw_gamma,
-    draw_gds_sibuya,
-    draw_negative_binomial,
-    draw_poisson,
-    draw_positive_stable,
-    draw_sibuya,
-    draw_tdl,
-    draw_tds,
-    draw_tempered_positive_stable,
-)
+from .sampler import RngStream, SampleBatch
 
 __version__ = "0.1.0"

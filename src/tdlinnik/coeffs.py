@@ -13,10 +13,12 @@ Three evaluation paths are provided and cross-checked against each other:
   k ~ 25 (the largest term exceeds the result by ~18 orders of magnitude),
   so the definitional path is kept exact and serves as the slow oracle.
 * closed forms and one-step recurrences for gamma = 1/2 and gamma = -1
-  (:func:`coeff_half`, :func:`coeff_neg1` and their ``_step`` companions).
-* :func:`build_table` -- dense triangular tables via convolution powers of
-  the coefficient sequence of (1-s)^gamma - 1, which involves only
-  same-sign accumulation and stays accurate for k in the hundreds.
+  (:func:`coeff_half`, :func:`coeff_neg1` and their ``_step`` companions),
+  checked against the other two paths by the test suite and ``check``.
+* :func:`build_table` -- dense triangular tables, for every gamma, via
+  convolution powers of the coefficient sequence of (1-s)^gamma - 1,
+  which involves only same-sign accumulation and stays accurate for k in
+  the hundreds.
 """
 
 from __future__ import annotations
@@ -147,53 +149,36 @@ def _abs_binom_sequence(gamma: float, kmax: int, damp: float = 1.0) -> np.ndarra
     """|binom(gamma, j)| * damp^j for j = 0..kmax, with the j = 0 slot zeroed.
 
     These are the absolute Taylor coefficients of (1-damp*s)^gamma - 1; for
-    gamma in (0, 1] they are the (damped) Sibuya probabilities.
+    gamma in (0, 1] they are the (damped) Sibuya probabilities.  Built as
+    one running product of the ratios r_{j+1}/r_j = damp (j-gamma)/(j+1).
     """
     r = np.zeros(kmax + 1)
     if kmax >= 1:
+        j = np.arange(1.0, kmax)
         r[1] = abs(gamma) * damp
-        for j in range(1, kmax):
-            r[j + 1] = r[j] * damp * (j - gamma) / (j + 1)
+        r[2:] = damp * (j - gamma) / (j + 1)
+        np.cumprod(r[1:], out=r[1:])
     return r
 
 
 def build_table(gamma: float, kmax: int) -> CoeffTable:
     """Build the C_{gamma,m}(k) table for 0 <= m, k <= kmax.
 
-    gamma = 1/2 and gamma = -1 use the closed forms seeded on the diagonal
-    C(m, m) = (-gamma)^m and advanced by the one-step recurrences.  Every
-    other gamma uses convolution powers: row m holds, up to the sign
-    (-1)^(k+m) * sign((1-s)^gamma - 1)^m, the coefficients of the m-th
-    convolution power of |binom(gamma, .)|, an all-positive computation
-    with no cancellation.
+    Row m holds, up to the sign (-1)^(k+m) * sign((1-s)^gamma - 1)^m, the
+    coefficients of the m-th convolution power of |binom(gamma, .)|, an
+    all-positive computation with no cancellation.
     """
     if kmax < 0:
         raise DomainError(f"kmax must be >= 0, got {kmax}")
     n = kmax + 1
     values = np.zeros((n, n))
-    values[0, 0] = 1.0
-    if gamma == 0.5:
-        for m in range(1, n):
-            cur = coeff_half(m, m)
-            values[m, m] = cur
-            for k in range(m, kmax):
-                cur = coeff_half_step(m, k, cur)
-                values[m, k + 1] = cur
-    elif gamma == -1.0:
-        for m in range(1, n):
-            cur = coeff_neg1(m, m)
-            values[m, m] = cur
-            for k in range(m, kmax):
-                cur = coeff_neg1_step(m, k, cur)
-                values[m, k + 1] = cur
-    else:
-        r = _abs_binom_sequence(gamma, kmax)
-        sign_v = -1.0 if gamma > 0 else 1.0
-        ks = np.arange(n)
-        w = np.zeros(n)
-        w[0] = 1.0
-        for m in range(n):
-            if m > 0:
-                w = np.convolve(w, r)[:n]
-            values[m] = (-1.0) ** (ks + m) * sign_v**m * w
+    r = _abs_binom_sequence(gamma, kmax)
+    sign_v = -1.0 if gamma > 0 else 1.0
+    ks = np.arange(n)
+    w = np.zeros(n)
+    w[0] = 1.0
+    for m in range(n):
+        if m > 0:
+            w = np.convolve(w, r)[:n]
+        values[m] = (-1.0) ** (ks + m) * sign_v**m * w
     return CoeffTable(gamma=gamma, kmax=kmax, values=values)

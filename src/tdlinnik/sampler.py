@@ -6,7 +6,8 @@ within one build.  Streams are single-owner mutable state: send them
 between threads, never share one concurrently; parallel work should use
 ``stream.split(i)`` to derive independently seeded streams.  Each law's
 batch sampler ``_sample_<tag>(gen, params, n, route, max_tries)`` is listed
-in the registry of :mod:`laws`; only the tdl sampler reads ``route``.
+in the registry of :mod:`laws`, whose ``sample_batch`` is the one sampling
+front end; only the tdl sampler reads ``route``.
 
 Generation routes follow the mixture/compound identities of the family:
 
@@ -23,7 +24,7 @@ Generation routes follow the mixture/compound identities of the family:
     c  (a < 0)       NB(c, -a NB(q/(1+q), 1/d)) with q = b d (1-c)^a
     d  (a in (0,1])  sum of NB(b d/(1+b d), 1/d) copies of GDS-Sibuya(a, c)
 
-Poisson, Gamma, negative binomial, and binomial primitives are delegated
+Poisson, Gamma and negative binomial primitives are delegated
 to numpy's Generator; their correctness is enforced by the goodness-of-fit
 suite rather than by pinning a particular classical algorithm.  The Sibuya
 law is drawn exactly in O(1) per variate through its beta-mixed geometric
@@ -31,7 +32,12 @@ representation: P(X > k | W) = W^k with W ~ Beta(1-gamma, gamma), so
 X = ceil(log(U) / log(W)).  (Sequential inversion of the pmf recurrence
 p_{k+1} = p_k (k-gamma)/(k+1), used for tabulation, has infinite expected
 cost per draw because the law has no mean.)  Draws beyond the 1e9 support
-cap raise :class:`HeavyTailOverflow`.
+cap raise :class:`HeavyTailOverflow`.  The GDS-Sibuya law with tau < 1 is
+drawn by inversion of a CDF table built from the same damped jump sequence
+|binom(gamma, k)| tau^k that the PMF tables use
+(:func:`coeffs._abs_binom_sequence`).  Its length is bounded before any
+work through P(k) <= gamma tau^k; a bound above ``GDS_TABLE_CAP`` entries
+raises :class:`HeavyTailOverflow` at once.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coeffs import _abs_binom_sequence
 from .errors import (
     DomainError,
     HeavyTailOverflow,
@@ -66,6 +73,9 @@ DEFAULT_MAX_TRIES = 10**6
 
 #: support cap for heavy-tailed integer draws
 SIBUYA_SUPPORT_CAP = 10**9
+
+#: entry cap for the GDS-Sibuya inversion table
+GDS_TABLE_CAP = 10**7
 
 #: numpy's Poisson generator rejects intensities above roughly 2^63 * 1e-1;
 #: anything near that is a heavy-tail blowup we surface as a typed error
@@ -119,47 +129,12 @@ class SampleBatch:
 
 
 # ---------------------------------------------------------------------------
-# library-grade primitives
-
-
-def draw_poisson(r: RngStream, lam: float) -> int:
-    """One Poisson(lam) variate; lam = 0 gives 0."""
-    if not (math.isfinite(lam) and lam >= 0):
-        raise DomainError(f"lam must be finite and >= 0, got {lam}")
-    return int(r.generator.poisson(lam))
-
-
-def draw_gamma(r: RngStream, scale: float, shape: float) -> float:
-    """One Gamma variate with mean scale*shape; shape = 0 gives 0.
-
-    Shape zero arises as the empty convolution in the compound
-    Poisson-of-Gammas construction, hence is allowed here.
-    """
-    if not (math.isfinite(scale) and scale > 0):
-        raise DomainError(f"scale must be > 0, got {scale}")
-    if not (math.isfinite(shape) and shape >= 0):
-        raise DomainError(f"shape must be >= 0, got {shape}")
-    if shape == 0:
-        return 0.0
-    return float(r.generator.gamma(shape=shape, scale=scale))
-
-
-def binomial_thin(r: RngStream, alpha: float, x: int) -> int:
-    """Binomial thinning: sum of x Bernoulli(alpha) marks."""
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
-    return int(r.generator.binomial(x, alpha))
+# negative binomial
 
 
 def _nb_vec(gen: np.random.Generator, pi, delta, n: int | None = None) -> np.ndarray:
     """Negative binomial NB(pi, delta) draws; numpy's p is the 1-pi convention."""
     return gen.negative_binomial(delta, 1.0 - np.asarray(pi), size=n)
-
-
-def draw_negative_binomial(r: RngStream, p: NegativeBinomialParams) -> int:
-    return int(_nb_vec(r.generator, p.pi, p.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -182,36 +157,26 @@ def _sample_sibuya(gen, p: SibuyaParams, n: int, route=None, max_tries=None) -> 
     return x.astype(np.int64)
 
 
-def draw_sibuya(r: RngStream, gamma: float) -> int:
-    """One Sibuya(gamma) variate on {1, 2, ...}; gamma = 1 is the constant 1."""
-    return int(_sample_sibuya(r.generator, SibuyaParams(gamma), 1)[0])
+def _gds_pmf_cdf(gamma: float, tau: float) -> np.ndarray:
+    """CDF table of the GDS-Sibuya law, cut where the tail is below 1e-17.
 
-
-def _gds_pmf_cdf(gamma: float, tau: float, cap: int = 10**7) -> np.ndarray:
-    """CDF table of the GDS-Sibuya law, extended until the tail is below 1e-17.
-
-    P(0) = (1-tau)^gamma and P(k) = tau^k * SibuyaPmf(gamma, k) for k >= 1,
-    by the pmf recurrence.  tau < 1 makes the tail geometric, so the table
-    is short; tau = 1 must use the exact Sibuya sampler instead.
+    P(0) = (1-tau)^gamma and P(k) = |binom(gamma, k)| tau^k for k >= 1.
+    Since P(k) <= gamma tau^k, the jump sequence is sized once, to the kmax
+    where that bound times tau/(1-tau) falls below 1e-17, and cut at the
+    first k with P(k) tau/(1-tau) < 1e-17 (P(j+1) <= tau P(j), so this
+    bounds the remaining tail; a subtractive running survival would stall
+    on rounding noise).  tau = 1 must use the exact Sibuya sampler instead.
     """
-    probs = [math.exp(gamma * math.log1p(-tau))]
-    pk = gamma * tau  # P(1)
-    k = 1
-    while True:
-        probs.append(pk)
-        # p_{j+1} <= tau * p_j, so the remaining tail is below pk*tau/(1-tau);
-        # a subtractive running survival would stall on rounding noise here
-        tail_bound = pk * tau / (1.0 - tau)
-        pk *= tau * (k - gamma) / (k + 1)
-        k += 1
-        if tail_bound < 1e-17:
-            break
-        if k > cap:
-            raise HeavyTailOverflow(
-                f"GDS-Sibuya inversion table exceeded {cap:g} entries "
-                f"(tau = {tau} too close to 1)"
-            )
-    return np.cumsum(probs)
+    kmax = max(1, math.ceil(math.log(1e-17 * (1.0 - tau) / gamma) / math.log(tau)))
+    if kmax > GDS_TABLE_CAP:
+        raise HeavyTailOverflow(
+            f"GDS-Sibuya inversion table would need {kmax:.3g} entries, above "
+            f"the cap {GDS_TABLE_CAP:g} (tau = {tau} too close to 1)"
+        )
+    probs = _abs_binom_sequence(gamma, kmax, damp=tau)
+    probs[0] = math.exp(gamma * math.log1p(-tau))
+    end = 1 + int(np.argmax(probs[1:] * tau / (1.0 - tau) < 1e-17))
+    return np.cumsum(probs[: end + 1])
 
 
 def _sample_gds(gen, p: GdsSibuyaParams, n: int, route=None, max_tries=None) -> np.ndarray:
@@ -222,15 +187,6 @@ def _sample_gds(gen, p: GdsSibuyaParams, n: int, route=None, max_tries=None) -> 
     cdf = _gds_pmf_cdf(p.gamma, p.tau)
     u = gen.random(n)
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
-
-
-def draw_gds_sibuya(r: RngStream, gamma: float, tau: float) -> int:
-    """One geometric down-weighting Sibuya variate on {0, 1, ...}.
-
-    Sequential inversion against the damped pmf recurrence; tau = 1
-    reduces to the plain Sibuya law (whose P(0) is zero).
-    """
-    return int(_sample_gds(r.generator, GdsSibuyaParams(gamma, tau), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +218,6 @@ def _ps_vec(gen: np.random.Generator, gamma: float, lam, n: int) -> np.ndarray:
         # Laplace transform exp(-lam t): point mass at lam
         return np.broadcast_to(np.asarray(lam, dtype=float), (n,)).copy()
     return _kanter_vec(gen, gamma, lam, n)
-
-
-def draw_positive_stable(r: RngStream, p: StableParams) -> float:
-    """One positive stable variate with Laplace transform exp(-lam t^gamma)."""
-    return float(_ps_vec(r.generator, p.gamma, p.lam, 1)[0])
 
 
 def _tps_vec(
@@ -302,19 +253,6 @@ def _tps_vec(
         out[active[accept]] = x[accept]
         active = active[~accept]
     return out
-
-
-def draw_tempered_positive_stable(
-    r: RngStream, p: TemperedStableParams, max_tries: int = DEFAULT_MAX_TRIES
-) -> float:
-    """One Tweedie / tempered positive stable variate.
-
-    gamma < 0 uses the exact compound Poisson-of-Gammas construction
-    (including the atom at zero with mass exp(-lam theta^gamma)); gamma in
-    (0, 1] uses exponential rejection of Kanter proposals, aborting with
-    :class:`RejectionBudgetExceeded` after ``max_tries`` rounds.
-    """
-    return float(_tps_vec(r.generator, p.gamma, p.lam, p.theta, 1, max_tries)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -402,29 +340,6 @@ def _sample_tdl(
     if p.d == 0:
         return _sample_tds(gen, p.tds(), n, route, max_tries)
     return _TDL_ROUTE_FNS[route](gen, p, n, max_tries)
-
-
-def draw_tdl(
-    r: RngStream,
-    p: TdlParams,
-    route: str = "a",
-    max_tries: int = DEFAULT_MAX_TRIES,
-) -> int:
-    """One tempered discrete Linnik variate via the chosen identity.
-
-    Routes "b"/"c" need a < 0, route "d" needs a in (0, 1]; route "a"
-    applies everywhere.  All routes draw from the same distribution.
-    The d == 0 record dispatches to the tempered discrete stable sampler
-    regardless of route.
-    """
-    return int(_sample_tdl(r.generator, p, 1, route, max_tries)[0])
-
-
-def draw_tds(
-    r: RngStream, p: TdsParams, max_tries: int = DEFAULT_MAX_TRIES
-) -> int:
-    """One tempered discrete stable (Poisson-Tweedie) variate."""
-    return int(_sample_tds(r.generator, p, 1, None, max_tries)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ class TestPmfScalars:
         want = poisson_pmf_ref(1.0, 20)
         table = build_table(1.0, 20)
         for k in range(21):
-            assert tds_pmf(q, k, table) == pytest.approx(want[k], rel=1e-13)
+            assert tds_pmf(q, k, table) == pytest.approx(want[k], rel=1e-13, abs=0)
 
     def test_oracle_agreement_spot_checks(self):
         p = TdlParams(0.5, 1.0, 0.5, 1.0)
@@ -293,8 +293,9 @@ class TestBuildPmfTable:
 
     def test_geometric_values_and_tail(self):
         table = build_pmf_table(TdlParams(1.0, 1.0, 0.5, 1.0), 20)
-        assert table.p == pytest.approx(nb_pmf_ref(1 / 3, 1.0, 20), rel=1e-13)
-        assert table.tail_mass == pytest.approx((1 / 3) ** 21, rel=1e-10)
+        assert table.p == pytest.approx(nb_pmf_ref(1 / 3, 1.0, 20), rel=1e-13, abs=0)
+        # tail_mass is 1 - sum(p), so it carries about 1.3e-16 of absolute rounding
+        assert table.tail_mass == pytest.approx((1 / 3) ** 21, abs=1e-15)
 
     def test_matches_scalar_path(self):
         for p in (TdlParams(0.5, 1.0, 0.5, 1.0), TdlParams(-1.5, 2.0, 0.7, 0.25)):

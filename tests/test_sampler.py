@@ -1,10 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from tdlinnik import (
-    DomainError,
     GammaParams,
     GdsSibuyaParams,
     HeavyTailOverflow,
@@ -19,23 +19,17 @@ from tdlinnik import (
     TdlParams,
     TdsParams,
     TemperedStableParams,
-    binomial_thin,
     build_pmf_table,
     chi_square_gof,
-    draw_gamma,
-    draw_gds_sibuya,
-    draw_poisson,
-    draw_positive_stable,
-    draw_sibuya,
-    draw_tdl,
-    draw_tempered_positive_stable,
     empirical_laplace,
     empirical_pgf,
     family_laplace,
     family_pgf,
+    gen_binom,
     sample_batch,
     series_pmf,
 )
+from tdlinnik.sampler import _gds_pmf_cdf
 
 N = 50000
 
@@ -73,10 +67,6 @@ class TestRngStream:
 
 
 class TestPrimitives:
-    def test_poisson_zero_rate(self):
-        r = RngStream(1)
-        assert all(draw_poisson(r, 0.0) == 0 for _ in range(20))
-
     def test_poisson_mean_band(self):
         batch = sample_batch("poisson", PoissonParams(4.0), N, seed=5)
         assert abs(batch.values.mean() - 4.0) < 4 * math.sqrt(4.0 / N)
@@ -85,14 +75,6 @@ class TestPrimitives:
         batch = sample_batch("poisson", PoissonParams(4.0), N, seed=6)
         report = chi_square_gof(batch, series_pmf("poisson", PoissonParams(4.0), 40))
         assert report.p_value > 0.001
-
-    def test_poisson_domain(self):
-        with pytest.raises(DomainError):
-            draw_poisson(RngStream(1), -1.0)
-
-    def test_gamma_zero_shape(self):
-        r = RngStream(1)
-        assert draw_gamma(r, 2.0, 0.0) == 0.0
 
     def test_gamma_mean_band(self):
         batch = sample_batch("gamma", GammaParams(scale=2.0, shape=3.0), N, seed=7)
@@ -104,20 +86,12 @@ class TestPrimitives:
         est, se = empirical_laplace(batch, 0.5)
         assert abs(est - 1 / 8) < 4 * se
 
-    def test_thinning_edges(self):
-        r = RngStream(2)
-        assert binomial_thin(r, 1.0, 17) == 17
-        assert binomial_thin(r, 0.0, 17) == 0
-        with pytest.raises(DomainError):
-            binomial_thin(r, 1.5, 3)
-
     def test_thinning_is_stable_scaling(self):
         # lam^(1/gamma) thinning of DS(gamma, 1) has the DS(gamma, lam) law
         gamma, lam = 0.5, 0.5
         alpha = lam ** (1 / gamma)
         base = sample_batch("ds", StableParams(gamma, 1.0), N, seed=11)
-        r = RngStream(12)
-        thinned = np.array([binomial_thin(r, alpha, int(x)) for x in base.values])
+        thinned = RngStream(12).generator.binomial(base.values, alpha)
         target = sample_batch("ds", StableParams(gamma, lam), N, seed=13)
         s = 0.5
         est1 = (s**thinned.astype(float)).mean()
@@ -128,8 +102,8 @@ class TestPrimitives:
 
 class TestSibuya:
     def test_gamma_one_is_constant_one(self):
-        r = RngStream(3)
-        assert all(draw_sibuya(r, 1.0) == 1 for _ in range(50))
+        batch = sample_batch("sibuya", SibuyaParams(1.0), 50, seed=3)
+        assert np.all(batch.values == 1)
 
     def test_head_probabilities(self):
         # fixed seed dodging the (expected ~once per 50k draws at gamma=0.5)
@@ -185,11 +159,35 @@ class TestGdsSibuya:
         report = chi_square_gof(batch, series_pmf("gds", params, 150))
         assert report.p_value > 0.001
 
+    @pytest.mark.parametrize("gamma,tau", [(0.2, 0.3), (0.5, 0.95), (0.9, 0.99)])
+    def test_table_matches_series(self, gamma, tau):
+        cdf = _gds_pmf_cdf(gamma, tau)
+        m = min(len(cdf), 201)
+        ref = np.cumsum(series_pmf("gds", GdsSibuyaParams(gamma, tau), 200).p)
+        np.testing.assert_allclose(cdf[:m], ref[:m], rtol=1e-13, atol=0)
+        # the table ends at the first k whose tail bound p_k tau/(1-tau) is below 1e-17
+        k = len(cdf) - 1
+        bound = [abs(gen_binom(gamma, j)) * tau**j * tau / (1 - tau) for j in (k - 1, k)]
+        assert bound[1] < 1e-17 <= bound[0]
+
+    @pytest.mark.parametrize(
+        "law,params,route",
+        [
+            ("gds", GdsSibuyaParams(0.5, 0.999999), "a"),
+            ("tdl", TdlParams(0.5, 1.0, 0.999999, 1.0), "d"),
+        ],
+    )
+    def test_tau_near_one_fails_fast(self, law, params, route):
+        t0 = time.perf_counter()
+        with pytest.raises(HeavyTailOverflow):
+            sample_batch(law, params, 10, seed=1, route=route)
+        assert time.perf_counter() - t0 < 0.5
+
 
 class TestPositiveStable:
     def test_gamma_one_is_point_mass(self):
-        r = RngStream(4)
-        assert draw_positive_stable(r, StableParams(1.0, 2.0)) == 2.0
+        batch = sample_batch("ps", StableParams(1.0, 2.0), 20, seed=4)
+        assert np.all(batch.values == 2.0)
 
     @pytest.mark.parametrize("gamma,lam", [(0.5, 1.0), (0.25, 2.0), (0.75, 0.5)])
     def test_laplace_transform(self, gamma, lam):
@@ -235,31 +233,26 @@ class TestTemperedPositiveStable:
 
     def test_rejection_budget(self):
         # acceptance rate exp(-30 * 5^0.5) is astronomically small
-        r = RngStream(1)
         with pytest.raises(RejectionBudgetExceeded):
-            draw_tempered_positive_stable(
-                r, TemperedStableParams(0.5, 30.0, 5.0), max_tries=50
-            )
+            sample_batch("tps", TemperedStableParams(0.5, 30.0, 5.0), 1, seed=1, max_tries=50)
 
 
 class TestTdlRoutes:
     def test_degenerate_always_zero(self):
-        r = RngStream(5)
         for route in ("a", "b", "c", "d"):
             p = TdlParams(0.0, 1.0, 0.5, 1.0)
-            assert draw_tdl(r, p, route=route) == 0
-        assert draw_tdl(r, TdlParams(0.5, 1.0, 0.0, 1.0)) == 0
+            assert np.all(sample_batch("tdl", p, 20, seed=5, route=route).values == 0)
+        assert np.all(sample_batch("tdl", TdlParams(0.5, 1.0, 0.0, 1.0), 20, seed=5).values == 0)
 
     def test_route_compatibility(self):
-        r = RngStream(5)
-        with pytest.raises(IncompatibleRoute):
-            draw_tdl(r, TdlParams(0.5, 1.0, 0.5, 1.0), route="b")
-        with pytest.raises(IncompatibleRoute):
-            draw_tdl(r, TdlParams(0.5, 1.0, 0.5, 1.0), route="c")
-        with pytest.raises(IncompatibleRoute):
-            draw_tdl(r, TdlParams(-1.0, 1.0, 0.5, 1.0), route="d")
-        with pytest.raises(IncompatibleRoute):
-            draw_tdl(r, TdlParams(0.5, 1.0, 0.5, 1.0), route="x")
+        for p, route in (
+            (TdlParams(0.5, 1.0, 0.5, 1.0), "b"),
+            (TdlParams(0.5, 1.0, 0.5, 1.0), "c"),
+            (TdlParams(-1.0, 1.0, 0.5, 1.0), "d"),
+            (TdlParams(0.5, 1.0, 0.5, 1.0), "x"),
+        ):
+            with pytest.raises(IncompatibleRoute):
+                sample_batch("tdl", p, 1, seed=5, route=route)
 
     def test_route_a_geometric_gof(self):
         p = TdlParams(1.0, 1.0, 0.5, 1.0)
