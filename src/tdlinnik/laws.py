@@ -130,10 +130,22 @@ def sample_batch(
     n: int,
     seed: int,
     stream: int = 0,
-    route: str = "a",
+    route: str = "auto",
     max_tries: int = sampler.DEFAULT_MAX_TRIES,
 ) -> sampler.SampleBatch:
-    """Draw n variates of a named law from a fresh (seed, stream) stream."""
+    """Draw n variates of a named law from a fresh (seed, stream) stream.
+
+    ``route`` picks the generation identity of tdl (one of
+    ``sampler.TDL_ROUTES``) and of tds; other laws ignore it.  The default
+    ``"auto"`` has no tempering rejection: for a > 0 and c < 1 it sums
+    GDS-Sibuya(a, c) jumps over NB counts (tdl route d) or Poisson(b)
+    counts (tds), and otherwise takes route a, whose tempering step is a
+    Poisson sum of Gammas for a < 0 and needs no tempering at c = 1.  An
+    explicit route "a" keeps the Poisson(TPS) identity, which rejects for
+    a > 0 and c < 1 and raises :class:`RejectionBudgetExceeded` after
+    ``max_tries`` rounds; ``max_tries`` also bounds the expected tries per
+    draw of the GDS-Sibuya thinning sampler.
+    """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     r = sampler.RngStream(seed, stream)

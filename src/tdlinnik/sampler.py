@@ -7,7 +7,7 @@ between threads, never share one concurrently; parallel work should use
 ``stream.split(i)`` to derive independently seeded streams.  Each law's
 batch sampler ``_sample_<tag>(gen, params, n, route, max_tries)`` is listed
 in the registry of :mod:`laws`, whose ``sample_batch`` is the one sampling
-front end; only the tdl sampler reads ``route``.
+front end; only the tdl and tds samplers read ``route``.
 
 Generation routes follow the mixture/compound identities of the family:
 
@@ -17,12 +17,24 @@ Generation routes follow the mixture/compound identities of the family:
   Gamma(1/theta, -gamma * Poisson(lam theta^gamma)) (an atom at zero with
   mass exp(-lam theta^gamma)); for gamma in (0, 1] exponential rejection
   of stable proposals with acceptance probability exp(-theta * X),
-* tempered discrete stable: Poisson(TPS(a, b c^a, 1/c - 1)),
-* tempered discrete Linnik, four interchangeable routes:
-    a  (any a)       Poisson(TPS(a, Gamma(b d c^a, 1/d), 1/c - 1))
-    b  (a < 0)       Poisson(Gamma(c/(1-c), -a Poisson(Gamma(b d (1-c)^a, 1/d))))
-    c  (a < 0)       NB(c, -a NB(q/(1+q), 1/d)) with q = b d (1-c)^a
-    d  (a in (0,1])  sum of NB(b d/(1+b d), 1/d) copies of GDS-Sibuya(a, c)
+* tempered discrete stable, two routes:
+    a     Poisson(TPS(a, b c^a, 1/c - 1))
+    auto  for a in (0, 1] and c < 1, a sum of Poisson(b) copies of
+          GDS-Sibuya(a, c), since the pgf exp(b((1-c)^a - (1-cs)^a)) is
+          exp(b(gds(s) - 1)); otherwise route a,
+* tempered discrete Linnik, four interchangeable routes and a default:
+    a     (any a)       Poisson(TPS(a, Gamma(b d c^a, 1/d), 1/c - 1))
+    b     (a < 0)       Poisson(Gamma(c/(1-c), -a Poisson(Gamma(b d (1-c)^a, 1/d))))
+    c     (a < 0)       NB(c, -a NB(q/(1+q), 1/d)) with q = b d (1-c)^a
+    d     (a in (0,1])  sum of NB(b d/(1+b d), 1/d) copies of GDS-Sibuya(a, c)
+    auto  route d for a in (0, 1] and c < 1, route a otherwise; a d = 0
+          record is drawn as its tds law on route auto.
+
+Route auto, the default, has no tempering rejection: route a's tempering
+step is a Poisson sum of Gammas for a < 0 and is skipped at c = 1
+(theta = 0).  Only the explicit route a (and tps, tpl) temper by
+rejection, for a > 0 and c < 1; the one other rejection step, GDS-Sibuya
+thinning (below), knows its expected tries per draw before it starts.
 
 Poisson, Gamma and negative binomial primitives are delegated
 to numpy's Generator; their correctness is enforced by the goodness-of-fit
@@ -33,11 +45,14 @@ X = ceil(log(U) / log(W)).  (Sequential inversion of the pmf recurrence
 p_{k+1} = p_k (k-gamma)/(k+1), used for tabulation, has infinite expected
 cost per draw because the law has no mean.)  Draws beyond the 1e9 support
 cap raise :class:`HeavyTailOverflow`.  The GDS-Sibuya law with tau < 1 is
-drawn by inversion of a CDF table built from the same damped jump sequence
-|binom(gamma, k)| tau^k that the PMF tables use
-(:func:`coeffs._abs_binom_sequence`).  Its length is bounded before any
-work through P(k) <= gamma tau^k; a bound above ``GDS_TABLE_CAP`` entries
-raises :class:`HeavyTailOverflow` at once.
+exact at every tau.  Its CDF table, built from the same damped jump
+sequence |binom(gamma, k)| tau^k that the PMF tables use
+(:func:`coeffs._abs_binom_sequence`), is sized before any work through
+P(k) <= gamma tau^k and inverted while that size is at most
+``GDS_TABLE_MAX`` entries.  Beyond it, thinning of Sibuya draws is
+cheaper: 0 with probability (1-tau)^gamma, else a Sibuya X kept with
+probability tau^X.  Compound draws take their jumps ``JUMP_BLOCK`` at a
+time, so their memory does not grow with the number of jumps.
 """
 
 from __future__ import annotations
@@ -68,20 +83,24 @@ from .params import (
     TemperedStableParams,
 )
 
-#: retry cap for the exponential-rejection tempering step
+#: tries per draw allowed to the rejection samplers: the rounds of the
+#: tempering step, and the expected tries of GDS-Sibuya thinning
 DEFAULT_MAX_TRIES = 10**6
 
 #: support cap for heavy-tailed integer draws
 SIBUYA_SUPPORT_CAP = 10**9
 
-#: entry cap for the GDS-Sibuya inversion table
-GDS_TABLE_CAP = 10**7
+#: longest GDS-Sibuya inversion table; longer ones give way to thinning
+GDS_TABLE_MAX = 1 << 17
+
+#: jumps drawn at a time by the GDS-Sibuya compound samplers
+JUMP_BLOCK = 1 << 20
 
 #: numpy's Poisson generator rejects intensities above roughly 2^63 * 1e-1;
 #: anything near that is a heavy-tail blowup we surface as a typed error
 _POISSON_LAM_CAP = 9.0e18
 
-TDL_ROUTES = ("a", "b", "c", "d")
+TDL_ROUTES = ("auto", "a", "b", "c", "d")
 
 
 class RngStream:
@@ -141,15 +160,19 @@ def _nb_vec(gen: np.random.Generator, pi, delta, n: int | None = None) -> np.nda
 # Sibuya and its geometric down-weighting
 
 
-def _sample_sibuya(gen, p: SibuyaParams, n: int, route=None, max_tries=None) -> np.ndarray:
-    if p.gamma == 1.0:
-        return np.ones(n, dtype=np.int64)
-    w = gen.beta(1.0 - p.gamma, p.gamma, size=n)
+def _sibuya_float(gen: np.random.Generator, gamma: float, n: int) -> np.ndarray:
+    """Sibuya(gamma) draws as floats, with no support cap."""
+    if gamma == 1.0:
+        return np.ones(n)
+    w = gen.beta(1.0 - gamma, gamma, size=n)
     u = 1.0 - gen.random(n)  # in (0, 1]
     # clip away the measure-zero fp endpoints of W before taking logs
     w = np.clip(w, 5e-324, np.nextafter(1.0, 0.0))
-    x = np.ceil(np.log(u) / np.log(w))
-    x = np.maximum(x, 1.0)
+    return np.maximum(np.ceil(np.log(u) / np.log(w)), 1.0)
+
+
+def _capped(x: np.ndarray) -> np.ndarray:
+    """Integer Sibuya-type draws; a draw beyond the support cap raises."""
     if np.any(x > SIBUYA_SUPPORT_CAP):
         raise HeavyTailOverflow(
             f"Sibuya draw exceeded the support cap {SIBUYA_SUPPORT_CAP:g}"
@@ -157,36 +180,99 @@ def _sample_sibuya(gen, p: SibuyaParams, n: int, route=None, max_tries=None) -> 
     return x.astype(np.int64)
 
 
+def _sample_sibuya(gen, p: SibuyaParams, n: int, route=None, max_tries=None) -> np.ndarray:
+    return _capped(_sibuya_float(gen, p.gamma, n))
+
+
+def _gds_table_len(gamma: float, tau: float) -> int:
+    """Pre-sized length of the GDS-Sibuya CDF table: the kmax where the tail
+    bound gamma tau^k tau/(1-tau) (from P(k) <= gamma tau^k) falls below 1e-17."""
+    return max(1, math.ceil(math.log(1e-17 * (1.0 - tau) / gamma) / math.log(tau)))
+
+
 def _gds_pmf_cdf(gamma: float, tau: float) -> np.ndarray:
     """CDF table of the GDS-Sibuya law, cut where the tail is below 1e-17.
 
     P(0) = (1-tau)^gamma and P(k) = |binom(gamma, k)| tau^k for k >= 1.
-    Since P(k) <= gamma tau^k, the jump sequence is sized once, to the kmax
-    where that bound times tau/(1-tau) falls below 1e-17, and cut at the
-    first k with P(k) tau/(1-tau) < 1e-17 (P(j+1) <= tau P(j), so this
+    The jump sequence is sized once by :func:`_gds_table_len` and cut at
+    the first k with P(k) tau/(1-tau) < 1e-17 (P(j+1) <= tau P(j), so this
     bounds the remaining tail; a subtractive running survival would stall
     on rounding noise).  tau = 1 must use the exact Sibuya sampler instead.
     """
-    kmax = max(1, math.ceil(math.log(1e-17 * (1.0 - tau) / gamma) / math.log(tau)))
-    if kmax > GDS_TABLE_CAP:
-        raise HeavyTailOverflow(
-            f"GDS-Sibuya inversion table would need {kmax:.3g} entries, above "
-            f"the cap {GDS_TABLE_CAP:g} (tau = {tau} too close to 1)"
-        )
-    probs = _abs_binom_sequence(gamma, kmax, damp=tau)
+    probs = _abs_binom_sequence(gamma, _gds_table_len(gamma, tau), damp=tau)
     probs[0] = math.exp(gamma * math.log1p(-tau))
     end = 1 + int(np.argmax(probs[1:] * tau / (1.0 - tau) < 1e-17))
     return np.cumsum(probs[: end + 1])
 
 
-def _sample_gds(gen, p: GdsSibuyaParams, n: int, route=None, max_tries=None) -> np.ndarray:
-    if p.tau == 1.0:
-        return _sample_sibuya(gen, SibuyaParams(p.gamma), n)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    cdf = _gds_pmf_cdf(p.gamma, p.tau)
-    u = gen.random(n)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+def _gds_sampler(gamma: float, tau: float, max_tries: int):
+    """A function ``draw(gen, m)`` giving m GDS-Sibuya(gamma, tau) draws.
+
+    tau = 1 is the Sibuya law.  Below it, a CDF table of pre-sized length
+    at most ``GDS_TABLE_MAX`` is inverted.  Past that, building and
+    searching the table costs more than thinning (for a batch of 1e5 the
+    two cross between 1.5e5 and 4.7e5 entries), so the law is drawn
+    exactly by thinning Sibuya(gamma) draws: 0 with probability (1-tau)^gamma,
+    otherwise a Sibuya X accepted with probability tau^X, redrawn until
+    accepted.  The acceptance rate E[tau^X] = 1 - (1-tau)^gamma is known,
+    so an expected number of tries above ``max_tries`` raises
+    :class:`RejectionBudgetExceeded` before any draw.  A rejected X beyond
+    the Sibuya support cap is discarded; only an accepted one raises.
+    """
+    if tau == 1.0:
+        return lambda gen, m: _capped(_sibuya_float(gen, gamma, m))
+    if _gds_table_len(gamma, tau) <= GDS_TABLE_MAX:
+        cdf = _gds_pmf_cdf(gamma, tau)
+        return lambda gen, m: np.searchsorted(cdf, gen.random(m), side="right").astype(np.int64)
+    log_p0 = gamma * math.log1p(-tau)
+    accept = -math.expm1(log_p0)
+    if accept * max_tries < 1.0:
+        raise RejectionBudgetExceeded(
+            f"GDS-Sibuya thinning expects {1.0 / accept:.4g} tries per draw, "
+            f"above max_tries = {max_tries} (acceptance rate 1 - (1-tau)^gamma too small)"
+        )
+    p0, log_tau = math.exp(log_p0), math.log(tau)
+
+    def draw(gen: np.random.Generator, m: int) -> np.ndarray:
+        out = np.zeros(m, dtype=np.int64)
+        active = np.flatnonzero(gen.random(m) >= p0)
+        while active.size:
+            x = _sibuya_float(gen, gamma, active.size)
+            keep = np.log(1.0 - gen.random(active.size)) <= x * log_tau
+            out[active[keep]] = _capped(x[keep])
+            active = active[~keep]
+        return out
+
+    return draw
+
+
+def _sample_gds(gen, p: GdsSibuyaParams, n: int, route=None,
+                max_tries=DEFAULT_MAX_TRIES) -> np.ndarray:
+    return _gds_sampler(p.gamma, p.tau, max_tries)(gen, n)
+
+
+def _compound_gds(gen: np.random.Generator, counts: np.ndarray, a: float, c: float,
+                  max_tries: int) -> np.ndarray:
+    """Sums of counts[i] GDS-Sibuya(a, c) jumps for each i.
+
+    The jumps are drawn in order, at most ``JUMP_BLOCK`` at a time from the
+    one generator, so memory stays bounded whatever the total; each block
+    adds its running sums at the count ends it covers.
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    at_ends = np.zeros(len(counts), dtype=np.int64)  # sum of all jumps before each end
+    if total:
+        draw = _gds_sampler(a, c, max_tries)
+        carry = 0
+        for lo in range(0, total, JUMP_BLOCK):
+            hi = min(lo + JUMP_BLOCK, total)
+            csum = np.cumsum(draw(gen, hi - lo))
+            csum += carry
+            i0, i1 = np.searchsorted(ends, (lo, hi), side="right")
+            at_ends[i0:i1] = csum[ends[i0:i1] - lo - 1]
+            carry = int(csum[-1])
+    return np.diff(at_ends, prepend=0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +356,13 @@ def _poisson_mix(gen: np.random.Generator, t: np.ndarray) -> np.ndarray:
 
 
 def _sample_tds(gen, p: TdsParams, n, route, max_tries) -> np.ndarray:
-    """Tempered discrete stable via Poisson(TPS(a, b c^a, 1/c - 1))."""
+    """Tempered discrete stable.  On route "auto" with a > 0 and c < 1 it is
+    a Poisson(b) sum of GDS-Sibuya(a, c) jumps; otherwise Poisson(TPS(a,
+    b c^a, 1/c - 1)), which rejects only when a > 0 and c < 1."""
     if p.is_degenerate:
         return np.zeros(n, dtype=np.int64)
+    if route == "auto" and p.a > 0 and p.c < 1:
+        return _compound_gds(gen, _poisson_mix(gen, np.full(n, p.b)), p.a, p.c, max_tries)
     theta = 1.0 / p.c - 1.0
     t = _tps_vec(gen, p.a, p.b * p.c**p.a, theta, n, max_tries)
     return _poisson_mix(gen, t)
@@ -306,11 +396,7 @@ def _tdl_route_c(gen, p: TdlParams, n, max_tries) -> np.ndarray:
 def _tdl_route_d(gen, p: TdlParams, n, max_tries) -> np.ndarray:
     bd = p.b * p.d
     z = _nb_vec(gen, bd / (1.0 + bd), 1.0 / p.d, n)
-    total = int(z.sum())
-    w = _sample_gds(gen, GdsSibuyaParams(p.a, p.c), total)
-    csum = np.concatenate(([0], np.cumsum(w)))
-    ends = np.cumsum(z)
-    return (csum[ends] - csum[ends - z]).astype(np.int64)
+    return _compound_gds(gen, z, p.a, p.c, max_tries)
 
 
 _TDL_ROUTE_FNS = {
@@ -325,10 +411,10 @@ def _sample_tdl(
     gen: np.random.Generator,
     p: TdlParams,
     n: int,
-    route: str = "a",
+    route: str = "auto",
     max_tries: int = DEFAULT_MAX_TRIES,
 ) -> np.ndarray:
-    if route not in _TDL_ROUTE_FNS:
+    if route not in TDL_ROUTES:
         raise IncompatibleRoute(f"route must be one of {TDL_ROUTES}, got {route!r}")
     if p.is_degenerate:
         # a point mass at zero, whatever the requested route
@@ -339,6 +425,8 @@ def _sample_tdl(
         raise IncompatibleRoute(f"route 'd' requires a in (0, 1], got a = {p.a}")
     if p.d == 0:
         return _sample_tds(gen, p.tds(), n, route, max_tries)
+    if route == "auto":
+        route = "d" if p.a > 0 and p.c < 1 else "a"
     return _TDL_ROUTE_FNS[route](gen, p, n, max_tries)
 
 

@@ -93,7 +93,7 @@ class TestPgfs:
     def test_tds_exponential_value(self):
         # a = 1: exp(b((1-c) - 1)) = exp(-b c) at s = 0
         assert tds_pgf(TdsParams(1.0, 2.0, 0.5), 0.0) == pytest.approx(
-            math.exp(-1.0), rel=1e-15
+            math.exp(-1.0), rel=1e-15, abs=0
         )
 
     def test_tds_untempered_limit_is_discrete_stable(self):
@@ -142,7 +142,7 @@ class TestLaplace:
         tps = TemperedStableParams(0.5, 1.5, 0.0)
         for t in (0.25, 0.5, 1.0, 2.0):
             assert family_laplace("tps", tps, t) == pytest.approx(
-                family_laplace("ps", ps, t), rel=1e-15
+                family_laplace("ps", ps, t), rel=1e-15, abs=0
             )
 
     def test_tps_is_exponential_tilt_of_ps(self):
@@ -153,7 +153,7 @@ class TestLaplace:
             want = family_laplace("ps", ps, theta + t) / family_laplace(
                 "ps", ps, theta
             )
-            assert family_laplace("tps", tps, t) == pytest.approx(want, rel=1e-14)
+            assert family_laplace("tps", tps, t) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_tpl_shape_limit_reaches_tps(self):
         tpl = TemperedLinnikParams(-1.0, 1.0, 0.5, 1e7)
@@ -194,9 +194,9 @@ class TestPmfScalars:
             TdlParams(0.5, 1.0, 0.5, 1.0),
             TdlParams(-1.5, 2.0, 0.8, 0.25),
         ):
-            assert tdl_pmf(p, 0) == pytest.approx(tdl_pgf(p, 0.0), rel=1e-14)
+            assert tdl_pmf(p, 0) == pytest.approx(tdl_pgf(p, 0.0), rel=1e-14, abs=0)
         q = TdsParams(-0.5, 1.0, 0.6)
-        assert tds_pmf(q, 0) == pytest.approx(tds_pgf(q, 0.0), rel=1e-14)
+        assert tds_pmf(q, 0) == pytest.approx(tds_pgf(q, 0.0), rel=1e-14, abs=0)
 
     def test_geometric_reduction(self):
         p = TdlParams(1.0, 1.0, 0.5, 1.0)
@@ -216,10 +216,10 @@ class TestPmfScalars:
     def test_oracle_agreement_spot_checks(self):
         p = TdlParams(0.5, 1.0, 0.5, 1.0)
         ref = series_pmf("tdl", p, 10)
-        assert tdl_pmf(p, 3) == pytest.approx(ref.p[3], rel=1e-12)
+        assert tdl_pmf(p, 3) == pytest.approx(ref.p[3], rel=1e-12, abs=0)
         q = TdsParams(-1.0, 1.0, 0.5)
         ref = series_pmf("tds", q, 10)
-        assert tds_pmf(q, 2) == pytest.approx(ref.p[2], rel=1e-12)
+        assert tds_pmf(q, 2) == pytest.approx(ref.p[2], rel=1e-12, abs=0)
 
     def test_degenerate_point_mass(self):
         p = TdlParams(0.0, 1.0, 0.5, 1.0)
@@ -251,7 +251,7 @@ class TestGeneralCoefficientForm:
                 phi_damp=c,
                 k=k,
             )
-            assert got == pytest.approx(tds_pmf(q, k), rel=1e-13)
+            assert got == pytest.approx(tds_pmf(q, k), rel=1e-13, abs=0)
 
     def test_specializes_to_tdl(self):
         a, b, c, d = 0.5, 1.0, 0.5, 2.0
@@ -266,13 +266,13 @@ class TestGeneralCoefficientForm:
                 k=k,
                 power_exponent=-1 / d,
             )
-            assert got == pytest.approx(tdl_pmf(p, k), rel=1e-13)
+            assert got == pytest.approx(tdl_pmf(p, k), rel=1e-13, abs=0)
 
     def test_k_zero_is_outer_at_constant(self):
         got = general_pmf_coefficient_form(
             "exp", alpha=0.3, beta=-0.8, gamma=0.5, phi_damp=0.5, k=0
         )
-        assert got == pytest.approx(math.exp(-0.5), rel=1e-15)
+        assert got == pytest.approx(math.exp(-0.5), rel=1e-15, abs=0)
 
     def test_unsupported_outer(self):
         with pytest.raises(UnsupportedOuterFunction):
@@ -376,8 +376,8 @@ class TestPanjer:
         assert table.p[0] < 1e-307
         assert table.tail_mass < 1e-9
         got, want = moments_from_pmf(table), tdl_moments(p)
-        assert got.mu == pytest.approx(want.mu, rel=1e-7)
-        assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-7)
+        assert got.mu == pytest.approx(want.mu, rel=1e-7, abs=0)
+        assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-7, abs=0)
 
     def test_mass_beyond_kmax_stays_in_the_tail(self):
         # compound Poisson(2000) of geometric(1/2) jumps (Polya-Aeppli),

@@ -31,9 +31,9 @@ class TestPmfCommand:
         assert lines[0] == "k,p,cumulative"
         assert lines[-1].startswith("tail,")
         k0 = lines[1].split(",")
-        assert float(k0[1]) == pytest.approx(2 / 3, rel=1e-15)
+        assert float(k0[1]) == pytest.approx(2 / 3, rel=1e-15, abs=0)
         k1 = lines[2].split(",")
-        assert float(k1[1]) == pytest.approx(2 / 9, rel=1e-15)
+        assert float(k1[1]) == pytest.approx(2 / 9, rel=1e-15, abs=0)
 
     def test_degenerate_point_mass(self, runner):
         res = invoke(
@@ -71,7 +71,7 @@ class TestPmfCommand:
         )
         for lb, lo in zip(base.output.splitlines()[1:-1], orac.output.splitlines()[1:-1]):
             assert float(lb.split(",")[1]) == pytest.approx(
-                float(lo.split(",")[1]), rel=1e-10
+                float(lo.split(",")[1]), rel=1e-10, abs=0
             )
 
     def test_missing_flag_reported(self, runner):
@@ -214,8 +214,8 @@ class TestFigureCommand:
         mom = json.loads(
             invoke(runner, "moments", "-a", "0.25", "-b", "1", "-c", "0.5", "-d", "1").output
         )
-        assert float(row[2]) == pytest.approx(mom["alpha3"], rel=1e-15)
-        assert float(row[3]) == pytest.approx(mom["alpha4"], rel=1e-15)
+        assert float(row[2]) == pytest.approx(mom["alpha3"], rel=1e-15, abs=0)
+        assert float(row[3]) == pytest.approx(mom["alpha4"], rel=1e-15, abs=0)
 
     def test_svg_output(self, runner):
         res = invoke(runner, "figure", "--preset", "2", "--grid-c", "4",

@@ -40,7 +40,7 @@ class TestGenBinom:
             want = math.comb(x, k)
         else:
             want = (-1) ** k * math.comb(-x + k - 1, k)
-        assert gen_binom(float(x), k) == pytest.approx(want, rel=1e-12)
+        assert gen_binom(float(x), k) == pytest.approx(want, rel=1e-12, abs=0)
 
     @given(x=st.floats(-5, 5), k=st.integers(1, 15))
     def test_pascal_identity(self, x, k):
@@ -78,7 +78,7 @@ class TestDirectSum:
         for gamma in (0.3, 0.5, -0.5, -2.0):
             for m in range(8):
                 assert coeff_c(gamma, m, m) == pytest.approx(
-                    (-gamma) ** m, rel=1e-13
+                    (-gamma) ** m, rel=1e-13, abs=0
                 )
 
 
@@ -86,14 +86,14 @@ class TestHalfReductions:
     def test_known_values(self):
         assert coeff_half(1, 1) == -0.5
         assert coeff_half(0, 0) == 1.0
-        assert coeff_half(2, 3) == pytest.approx(coeff_c(0.5, 2, 3), rel=1e-13)
+        assert coeff_half(2, 3) == pytest.approx(coeff_c(0.5, 2, 3), rel=1e-13, abs=0)
 
     def test_regression_against_misprinted_step_factor(self):
         # the defining sum fixes C_{1/2,1}(2) = 1/8; a single-factor step
         # ratio would have produced 1/24 here
         assert coeff_c(0.5, 1, 2) == 0.125
         assert coeff_half(1, 2) == 0.125
-        assert coeff_half_step(1, 1, coeff_half(1, 1)) == pytest.approx(0.125, rel=1e-14)
+        assert coeff_half_step(1, 1, coeff_half(1, 1)) == pytest.approx(0.125, rel=1e-14, abs=0)
 
     def test_step_matches_closed_form_on_grid(self):
         for m in range(0, 21):
@@ -115,7 +115,7 @@ class TestNegOneReductions:
     def test_known_values(self):
         assert coeff_neg1(1, 1) == 1.0
         assert coeff_neg1(2, 1) == 0.0
-        assert coeff_neg1(2, 3) == pytest.approx(coeff_c(-1.0, 2, 3), rel=1e-13)
+        assert coeff_neg1(2, 3) == pytest.approx(coeff_c(-1.0, 2, 3), rel=1e-13, abs=0)
 
     def test_closed_form_on_grid(self):
         for k in range(1, 15):

@@ -26,12 +26,12 @@ GEOMETRIC_SUMMARY = dict(mu=0.5, sigma2=0.75, m3=1.5, m4=5.8125)
 class TestTdlMoments:
     def test_geometric_case(self):
         m = tdl_moments(GEOMETRIC_POINT)
-        assert m.mu == pytest.approx(GEOMETRIC_SUMMARY["mu"], rel=1e-15)
-        assert m.sigma2 == pytest.approx(GEOMETRIC_SUMMARY["sigma2"], rel=1e-15)
-        assert m.m3 == pytest.approx(GEOMETRIC_SUMMARY["m3"], rel=1e-15)
-        assert m.m4 == pytest.approx(GEOMETRIC_SUMMARY["m4"], rel=1e-15)
-        assert m.alpha3 == pytest.approx(m.m3 / m.sigma2**1.5, rel=1e-15)
-        assert m.alpha4 == pytest.approx(m.m4 / m.sigma2**2, rel=1e-15)
+        assert m.mu == pytest.approx(GEOMETRIC_SUMMARY["mu"], rel=1e-15, abs=0)
+        assert m.sigma2 == pytest.approx(GEOMETRIC_SUMMARY["sigma2"], rel=1e-15, abs=0)
+        assert m.m3 == pytest.approx(GEOMETRIC_SUMMARY["m3"], rel=1e-15, abs=0)
+        assert m.m4 == pytest.approx(GEOMETRIC_SUMMARY["m4"], rel=1e-15, abs=0)
+        assert m.alpha3 == pytest.approx(m.m3 / m.sigma2**1.5, rel=1e-15, abs=0)
+        assert m.alpha4 == pytest.approx(m.m4 / m.sigma2**2, rel=1e-15, abs=0)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateDistribution):
@@ -46,7 +46,7 @@ class TestTdlMoments:
     def test_poisson_tweedie_dispersion(self):
         # at d = 0 the dispersion index is (1 - a c)/(1 - c) and is >= 1
         m = tdl_moments(TdlParams(0.5, 1.0, 0.5, 0.0))
-        assert m.D == pytest.approx(1.5, rel=1e-15)
+        assert m.D == pytest.approx(1.5, rel=1e-15, abs=0)
         for a in (-2.0, -0.5, 0.25, 1.0):
             for c in (0.1, 0.5, 0.9):
                 assert tdl_moments(TdlParams(a, 1.0, c, 0.0)).D >= 1.0
@@ -63,7 +63,7 @@ class TestTdlMoments:
             base = tdl_moments(TdlParams(a, b, c, 0.0)).D
             for d in (0.25, 1.0, 4.0):
                 m = tdl_moments(TdlParams(a, b, c, d))
-                assert (m.D - base) == pytest.approx(d * m.mu, rel=1e-12)
+                assert (m.D - base) == pytest.approx(d * m.mu, rel=1e-12, abs=0)
 
     def test_moment_inequality(self):
         for a in (-2.0, -0.5, 0.5, 1.0):
@@ -82,8 +82,8 @@ class TestMomentsFromPmf:
     def test_geometric_table(self):
         table = build_pmf_table(GEOMETRIC_POINT, 120)
         m = moments_from_pmf(table)
-        assert m.mu == pytest.approx(0.5, rel=1e-12)
-        assert m.sigma2 == pytest.approx(0.75, rel=1e-12)
+        assert m.mu == pytest.approx(0.5, rel=1e-12, abs=0)
+        assert m.sigma2 == pytest.approx(0.75, rel=1e-12, abs=0)
 
     def test_tail_too_heavy(self):
         table = build_pmf_table(TdlParams(0.5, 1.0, 0.5, 1.0), 5)
@@ -103,10 +103,10 @@ class TestMomentsFromPmf:
         p = TdlParams(*point)
         want = tdl_moments(p)
         got = moments_from_pmf(build_pmf_table(p, 600))
-        assert got.mu == pytest.approx(want.mu, rel=1e-9)
-        assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-9)
-        assert got.m3 == pytest.approx(want.m3, rel=1e-7)
-        assert got.m4 == pytest.approx(want.m4, rel=1e-6)
+        assert got.mu == pytest.approx(want.mu, rel=1e-9, abs=0)
+        assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-9, abs=0)
+        assert got.m3 == pytest.approx(want.m3, rel=1e-7, abs=0)
+        assert got.m4 == pytest.approx(want.m4, rel=1e-6, abs=0)
 
     def test_monte_carlo_mean_agreement(self):
         p = TdlParams(-1.0, 1.0, 0.5, 1.0)
@@ -124,8 +124,8 @@ class TestSkewKurtTrace:
         c, d, a3, a4 = rows[0]
         m = tdl_moments(TdlParams(0.25, 1.0, 0.5, 1.0))
         assert (c, d) == (0.5, 1.0)
-        assert a3 == pytest.approx(m.alpha3, rel=1e-15)
-        assert a4 == pytest.approx(m.alpha4, rel=1e-15)
+        assert a3 == pytest.approx(m.alpha3, rel=1e-15, abs=0)
+        assert a4 == pytest.approx(m.alpha4, rel=1e-15, abs=0)
 
     def test_grid_shape_and_inequality(self):
         rows = skew_kurt_trace(0.25, 1.0, (0.3, 0.7), (0.0, 3.0), (10, 7))

@@ -46,7 +46,7 @@ class TestSeriesBasics:
 
     def test_binomial_power_half(self):
         s = series_binomial_power(1.0, 0.5, 3)
-        assert float(s.coeffs[2]) == pytest.approx(-1 / 8, rel=1e-15)
+        assert float(s.coeffs[2]) == pytest.approx(-1 / 8, rel=1e-15, abs=0)
 
     def test_order_carries_minimum(self):
         a = series_binomial_power(0.5, 0.5, 6)
@@ -70,21 +70,21 @@ class TestComposeOuter:
         inner = TruncatedSeries((1.5, -0.5, 0.0, 0.0, 0.0))
         out = series_compose_outer(inner, ("power", -1.0)).to_floats()
         want = (2 / 3) * (1 / 3) ** np.arange(5)
-        assert out == pytest.approx(want, rel=1e-14)
+        assert out == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_exp_of_tds_inner_at_a_one_is_poisson(self):
         # a = 1, b = 2, c = 1/2 collapses the tempered discrete stable to
         # Poisson(b c) = Poisson(1)
         p = TdsParams(1.0, 2.0, 0.5)
         out = series_pmf("tds", p, 12)
-        assert out.p == pytest.approx(poisson_pmf(1.0, 12), rel=1e-12)
+        assert out.p == pytest.approx(poisson_pmf(1.0, 12), rel=1e-12, abs=0)
 
     def test_power_then_inverse_power_roundtrip(self):
         for d in (0.5, 1.0, 4.0):
             inner = TruncatedSeries(tuple(1.7 * 0.4**k * (-1) ** k for k in range(12)))
             once = series_compose_outer(inner, ("power", -1.0 / d))
             back = series_compose_outer(once, ("power", -d))
-            assert back.to_floats() == pytest.approx(inner.to_floats(), rel=1e-12)
+            assert back.to_floats() == pytest.approx(inner.to_floats(), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("outer", ["exp", ("power", -1.0 / 0.3), ("power", 2.5)])
     def test_matches_naive_miller_loop_at_order_60(self, outer):
@@ -125,7 +125,7 @@ class TestSeriesPmf:
     def test_tdl_geometric_case(self):
         p = TdlParams(1.0, 1.0, 0.5, 1.0)
         table = series_pmf("tdl", p, 10)
-        assert table.p == pytest.approx(geometric_pmf(1 / 3, 10), rel=1e-13)
+        assert table.p == pytest.approx(geometric_pmf(1 / 3, 10), rel=1e-13, abs=0)
 
     def test_degenerate_tdl(self):
         table = series_pmf("tdl", TdlParams(0.0, 1.0, 0.5, 1.0), 5)
@@ -144,20 +144,20 @@ class TestSeriesPmf:
         want = [(1 - p.pi) ** p.delta]
         for k in range(20):
             want.append(want[-1] * p.pi * (p.delta + k) / (k + 1))
-        assert table.p == pytest.approx(want, rel=1e-13)
+        assert table.p == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_sibuya_series_matches_recurrence(self):
         table = series_pmf("sibuya", SibuyaParams(0.5), 15)
         want = [0.0, 0.5]
         for k in range(1, 15):
             want.append(want[-1] * (k - 0.5) / (k + 1))
-        assert table.p == pytest.approx(want, rel=1e-13)
+        assert table.p == pytest.approx(want, rel=1e-13, abs=0)
         assert table.p[1] == pytest.approx(0.5)
         assert table.p[2] == pytest.approx(0.125)
 
     def test_poisson_series(self):
         table = series_pmf("poisson", PoissonParams(3.0), 25)
-        assert table.p == pytest.approx(poisson_pmf(3.0, 25), rel=1e-12)
+        assert table.p == pytest.approx(poisson_pmf(3.0, 25), rel=1e-12, abs=0)
 
     def test_order_cap(self):
         with pytest.raises(DomainError):

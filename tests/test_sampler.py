@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +32,19 @@ from tdlinnik import (
     gen_binom,
     sample_batch,
     series_pmf,
+    tdl_moments,
 )
-from tdlinnik.sampler import _gds_pmf_cdf
+from tdlinnik import sampler
+from tdlinnik.sampler import (
+    DEFAULT_MAX_TRIES,
+    GDS_TABLE_MAX,
+    _compound_gds,
+    _gds_pmf_cdf,
+    _gds_sampler,
+    _gds_table_len,
+)
+
+import test_acceptance
 
 N = 50000
 
@@ -170,18 +185,79 @@ class TestGdsSibuya:
         bound = [abs(gen_binom(gamma, j)) * tau**j * tau / (1 - tau) for j in (k - 1, k)]
         assert bound[1] < 1e-17 <= bound[0]
 
+    @pytest.mark.parametrize("gamma,tau", [(0.5, 0.9999), (0.2, 0.99995)])
+    def test_thinning_gof(self, gamma, tau):
+        assert _gds_table_len(gamma, tau) > GDS_TABLE_MAX  # past the inversion table
+        params = GdsSibuyaParams(gamma, tau)
+        batch = sample_batch("gds", params, N, seed=36)
+        report = chi_square_gof(batch, series_pmf("gds", params, 200))
+        assert report.p_value > 0.001
+
+    @pytest.mark.parametrize("gamma,tau", [(0.3, 0.8), (0.7, 0.5)])
+    def test_thinning_gof_on_short_tails(self, gamma, tau, monkeypatch):
+        # thinning where the series sees nearly all the mass
+        monkeypatch.setattr(sampler, "GDS_TABLE_MAX", 0)
+        params = GdsSibuyaParams(gamma, tau)
+        batch = sample_batch("gds", params, N, seed=37)
+        report = chi_square_gof(batch, series_pmf("gds", params, 150))
+        assert report.p_value > 0.001
+
     @pytest.mark.parametrize(
-        "law,params,route",
-        [
-            ("gds", GdsSibuyaParams(0.5, 0.999999), "a"),
-            ("tdl", TdlParams(0.5, 1.0, 0.999999, 1.0), "d"),
-        ],
+        "law,params",
+        [("gds", GdsSibuyaParams(0.5, 0.999999)), ("tdl", TdlParams(0.5, 1.0, 0.999999, 1.0))],
     )
-    def test_tau_near_one_fails_fast(self, law, params, route):
+    def test_tau_near_one_draws_fast(self, law, params):
+        n = 10000
         t0 = time.perf_counter()
-        with pytest.raises(HeavyTailOverflow):
-            sample_batch(law, params, 10, seed=1, route=route)
+        batch = sample_batch(law, params, n, seed=1)
         assert time.perf_counter() - t0 < 0.5
+        if law == "gds":
+            g, t = params.gamma, params.tau
+            mu = g * t * (1 - t) ** (g - 1)
+            var = g * (1 - g) * t * t * (1 - t) ** (g - 2) + mu - mu * mu
+        else:
+            m = tdl_moments(params)
+            mu, var = m.mu, m.sigma2
+        assert abs(batch.values.mean() - mu) < 6 * math.sqrt(var / n)
+
+    def test_thinning_budget_fails_fast(self):
+        # acceptance rate 1 - (1e-4)^1e-4 = 9.2e-4: about 1087 tries per draw
+        t0 = time.perf_counter()
+        with pytest.raises(RejectionBudgetExceeded):
+            sample_batch("gds", GdsSibuyaParams(1e-4, 0.9999), 10, seed=1, max_tries=100)
+        assert time.perf_counter() - t0 < 0.05
+
+
+class TestCompoundGds:
+    def test_blocks_match_one_pass(self, monkeypatch):
+        # jumps drawn in blocks of 7 sum as one pass over all of them does
+        counts = np.array([0, 3, 0, 0, 12, 1, 7, 0, 25, 2, 0])
+        ref = RngStream(81).generator
+        jumps = _gds_sampler(0.5, 0.9, DEFAULT_MAX_TRIES)(ref, int(counts.sum()))
+        csum = np.concatenate(([0], np.cumsum(jumps)))
+        ends = np.cumsum(counts)
+        want = csum[ends] - csum[ends - counts]
+        monkeypatch.setattr(sampler, "JUMP_BLOCK", 7)
+        got = _compound_gds(RngStream(81).generator, counts, 0.5, 0.9, DEFAULT_MAX_TRIES)
+        np.testing.assert_array_equal(got, want)
+
+    def test_route_d_memory_is_bounded(self):
+        # 1e7 jumps at b = 100: about 230 MB when drawn in one piece
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import resource\n"
+            "from tdlinnik import TdlParams, sample_batch\n"
+            "p = TdlParams(0.5, 100.0, 0.5, 1.0)\n"
+            "sample_batch('tdl', p, 10, seed=1, route='d')\n"
+            "r0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "sample_batch('tdl', p, 100000, seed=1, route='d')\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - r0)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert int(out.stdout) < 100 * 1024  # ru_maxrss is in KiB on Linux
 
 
 class TestPositiveStable:
@@ -273,6 +349,34 @@ class TestTdlRoutes:
         report = chi_square_gof(batch, build_pmf_table(p, 200))
         assert report.p_value > 0.001
 
+    @pytest.mark.parametrize(
+        "p", [p for p, _ in test_acceptance.TestAcceptance.POS_POINTS]
+        + [TdlParams(0.75, 2.0, 0.9, 0.0)],
+    )
+    def test_default_route_gof(self, p):
+        batch = sample_batch("tdl", p, N, seed=65)
+        report = chi_square_gof(batch, build_pmf_table(p, 300))
+        assert report.p_value > 0.001
+
+    @pytest.mark.parametrize("idx", [0, 2])
+    def test_default_route_matches_route_a(self, idx):
+        # criterion 6's test at two a > 0 points where route a rejects
+        # rarely (b d (1-c)^a < 1)
+        p = test_acceptance.TestAcceptance.POS_POINTS[idx][0]
+        assert p.b * p.d * (1 - p.c) ** p.a < 1
+        n = 100000
+        table = build_pmf_table(p, 400)
+        kcap = table.kmax
+        expected_tv = float(
+            np.sum(np.sqrt(table.p * (1 - table.p) / (math.pi * n)))
+        ) + math.sqrt(max(table.tail_mass, 0.0) / (math.pi * n))
+        hists = []
+        for stream, route in enumerate(("a", "auto")):
+            batch = sample_batch("tdl", p, n, seed=66, stream=stream, route=route)
+            hists.append(np.bincount(np.minimum(batch.values, kcap + 1), minlength=kcap + 2) / n)
+        tv = 0.5 * float(np.abs(hists[0] - hists[1]).sum())
+        assert tv < 3.0 * expected_tv
+
     def test_d_zero_dispatches_to_tds(self):
         p = TdlParams(0.5, 1.0, 0.5, 0.0)
         batch = sample_batch("tdl", p, N, seed=64)
@@ -281,6 +385,20 @@ class TestTdlRoutes:
 
 
 class TestOtherLaws:
+    @pytest.mark.parametrize(
+        "q",
+        [
+            TdsParams(0.5, 1.0, 0.5),
+            TdsParams(0.25, 2.0, 0.1),
+            TdsParams(0.9, 5.0, 0.95),
+            TdsParams(1.0, 1.5, 0.5),  # Poisson(0.75): Bernoulli(0.5) jumps
+        ],
+    )
+    def test_tds_compound_gof(self, q):
+        batch = sample_batch("tds", q, N, seed=70)
+        report = chi_square_gof(batch, build_pmf_table(q, 300))
+        assert report.p_value > 0.001
+
     def test_tds_poisson_reduction_gof(self):
         q = TdsParams(1.0, 2.0, 0.5)
         batch = sample_batch("tds", q, N, seed=71)
