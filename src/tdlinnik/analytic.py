@@ -13,8 +13,14 @@ and tempered discrete Linnik laws are the finite sums
                    C_{a,m}(k)
 
 Both are specializations of the same coefficient form with outer function
-exp(x) resp. x^(-1/d); see :func:`general_pmf_coefficient_form`.  Every
-term of the m-sum carries the same sign, so the sums themselves are
+exp(x) resp. x^(-1/d); see :func:`general_pmf_coefficient_form`.  The
+TDS law is the d = 0 member of the TDL family (a :class:`TdsParams`
+record reads d as 0), so :func:`tdl_pgf`, :func:`tdl_pmf` and
+:func:`build_pmf_table` each have one body for both laws, branching on
+d only where the outer function changes; ``tds_pgf`` and ``tds_pmf`` are
+other names for the first two.
+
+Every term of the m-sum carries the same sign, so the sums themselves are
 cancellation-free, but the raw coefficients overflow double precision for
 a < 0 around k ~ 150 while c^k underflows.  :func:`build_pmf_table`
 therefore reads the m-sum as a compound law, a Poisson (TDS) or negative
@@ -87,31 +93,23 @@ def _pow_one_minus(x: float, a: float) -> float:
 # Probability generating functions
 
 
-def tdl_pgf(p: TdlParams, s: float) -> float:
+def tdl_pgf(p: Union[TdlParams, TdsParams], s: float) -> float:
     """Tempered discrete Linnik p.g.f.
 
-    g(s) = (1 + sgn(a) b d ((1-cs)^a - (1-c)^a))^(-1/d), d > 0.
-    The d == 0 branch is the Poisson-Tweedie law; use :func:`tds_pgf`.
+    g(s) = (1 + sgn(a) b d ((1-cs)^a - (1-c)^a))^(-1/d) for d > 0, and its
+    d == 0 member, the Poisson-Tweedie law, g(s) = exp(sgn(a) b ((1-c)^a - (1-cs)^a)).
     """
     _check_s(s)
-    if p.d == 0:
-        raise DomainError("d == 0 is the Poisson-Tweedie branch; use tds_pgf")
     if p.a == 0:
         return 1.0
     delta = _pow_one_minus(p.c * s, p.a) - _pow_one_minus(p.c, p.a)
+    if p.d == 0:
+        return math.exp(-sgn(p.a) * p.b * delta)
     return math.exp(-math.log1p(sgn(p.a) * p.b * p.d * delta) / p.d)
 
 
-def tds_pgf(p: TdsParams, s: float) -> float:
-    """Tempered discrete stable (Poisson-Tweedie) p.g.f.
-
-    g(s) = exp(sgn(a) b ((1-c)^a - (1-cs)^a)).
-    """
-    _check_s(s)
-    if p.a == 0:
-        return 1.0
-    delta = _pow_one_minus(p.c * s, p.a) - _pow_one_minus(p.c, p.a)
-    return math.exp(-sgn(p.a) * p.b * delta)
+#: the tempered discrete stable (Poisson-Tweedie) p.g.f., the d == 0 member
+tds_pgf = tdl_pgf
 
 
 def ds_pgf(p: StableParams, s: float) -> float:
@@ -300,62 +298,43 @@ def general_pmf_coefficient_form(
     return (-phi_damp) ** k * total
 
 
-def tdl_pmf(p: TdlParams, k: int, table: CoeffTable | None = None) -> float:
-    """Tempered discrete Linnik probability P(X = k), d > 0 branch.
+def tdl_pmf(p: Union[TdlParams, TdsParams], k: int, table: CoeffTable | None = None) -> float:
+    """Tempered discrete Linnik probability P(X = k).
 
     Outer function x^(-1/d) with alpha = 1 - sgn(a) b d (1-c)^a and
-    beta = sgn(a) b d.  Requires a coefficient table for gamma = a covering
-    k (built on the fly when omitted).
+    beta = sgn(a) b d; at d == 0 (the tempered discrete stable law) exp(x)
+    with alpha = sgn(a) b (1-c)^a and beta = -sgn(a) b.  Requires a
+    coefficient table for gamma = a covering k (built on the fly when
+    omitted).
     """
+    if p.is_degenerate:
+        return 1.0 if k == 0 else 0.0
+    s = sgn(p.a)
+    omc = _pow_one_minus(p.c, p.a)
     if p.d == 0:
-        raise DomainError("d == 0 is the Poisson-Tweedie branch; use tds_pmf")
-    if p.is_degenerate:
-        return 1.0 if k == 0 else 0.0
-    s = sgn(p.a)
-    omc = _pow_one_minus(p.c, p.a)
+        outer, alpha, beta, power = "exp", s * p.b * omc, -s * p.b, None
+    else:
+        outer, alpha, beta, power = "power", 1.0 - s * p.b * p.d * omc, s * p.b * p.d, -1.0 / p.d
     val = general_pmf_coefficient_form(
-        "power",
-        alpha=1.0 - s * p.b * p.d * omc,
-        beta=s * p.b * p.d,
-        gamma=p.a,
-        phi_damp=p.c,
-        k=k,
-        power_exponent=-1.0 / p.d,
-        table=table,
+        outer, alpha=alpha, beta=beta, gamma=p.a, phi_damp=p.c, k=k,
+        power_exponent=power, table=table,
     )
     return min(max(val, 0.0), 1.0)
 
 
-def tds_pmf(p: TdsParams, k: int, table: CoeffTable | None = None) -> float:
-    """Tempered discrete stable probability P(X = k).
-
-    Outer function exp(x) with alpha = sgn(a) b (1-c)^a, beta = -sgn(a) b.
-    """
-    if p.is_degenerate:
-        return 1.0 if k == 0 else 0.0
-    s = sgn(p.a)
-    omc = _pow_one_minus(p.c, p.a)
-    val = general_pmf_coefficient_form(
-        "exp",
-        alpha=s * p.b * omc,
-        beta=-s * p.b,
-        gamma=p.a,
-        phi_damp=p.c,
-        k=k,
-        table=table,
-    )
-    return min(max(val, 0.0), 1.0)
+#: the tempered discrete stable probability P(X = k), the d == 0 member
+tds_pmf = tdl_pmf
 
 
-def _panjer(a: float, b: float, c: float, kmax: int, *, d: float | None) -> np.ndarray:
+def _panjer(a: float, b: float, c: float, kmax: int, *, d: float) -> np.ndarray:
     """All-positive evaluation of the finite-sum PMF for k = 0..kmax.
 
-    The law is compound: a Poisson (d None, the tempered discrete stable
+    The law is compound: a Poisson (d == 0, the tempered discrete stable
     law) or negative binomial (d > 0) primary with jump weights
     r_j = |binom(a, j)| c^j.  Panjer's (a, b, 0) recursion gives
 
         g_k = sum_{j=1..k} (A + B j/k) r_j g_{k-j}
-        d None:  g_0 = exp(-sgn(a) b h),  A = 0, B = b
+        d == 0:  g_0 = exp(-sgn(a) b h),  A = 0, B = b
         d > 0:   g_0 = x0^(-1/d),         A = y, B = y (1/d - 1)
 
     with h = 1 - (1-c)^a, x0 = 1 + sgn(a) b d h and y = b d / x0.  Writing
@@ -371,7 +350,7 @@ def _panjer(a: float, b: float, c: float, kmax: int, *, d: float | None) -> np.n
         return g
     h = 1.0 - _pow_one_minus(c, a)
     s = sgn(a)
-    if d is None:
+    if d == 0:
         log_g0 = -s * b * h
         A, A_plus_B = 0.0, b
     else:
@@ -404,20 +383,16 @@ def _panjer(a: float, b: float, c: float, kmax: int, *, d: float | None) -> np.n
 def build_pmf_table(p: Union[TdlParams, TdsParams], kmax: int) -> PmfTable:
     """Tabulate P(X = k) for k = 0..kmax with tail-mass accounting.
 
-    Accepts tempered discrete Linnik parameters (the d == 0 record routes
-    to the Poisson-Tweedie sum) or tempered discrete stable parameters.
-    Raises :class:`NumericalInstability` if any pre-clamp probability
-    leaves [0, 1] by more than 1e-6.
+    Accepts tempered discrete Linnik or tempered discrete stable
+    parameters; a d == 0 record gives the table of its tds law.  Raises
+    :class:`NumericalInstability` if any pre-clamp probability leaves
+    [0, 1] by more than 1e-6.
     """
     if kmax < 0:
         raise DomainError(f"kmax must be >= 0, got {kmax}")
-    if isinstance(p, TdlParams):
-        if p.d == 0:
-            raw = _panjer(p.a, p.b, p.c, kmax, d=None)
-            return _finalize_pmf("tds", p.tds(), raw)
-        raw = _panjer(p.a, p.b, p.c, kmax, d=p.d)
-        return _finalize_pmf("tdl", p, raw)
-    if isinstance(p, TdsParams):
-        raw = _panjer(p.a, p.b, p.c, kmax, d=None)
-        return _finalize_pmf("tds", p, raw)
-    raise DomainError(f"expected TdlParams or TdsParams, got {type(p).__name__}")
+    if not isinstance(p, (TdlParams, TdsParams)):
+        raise DomainError(f"expected TdlParams or TdsParams, got {type(p).__name__}")
+    raw = _panjer(p.a, p.b, p.c, kmax, d=p.d)
+    if p.d == 0:
+        return _finalize_pmf("tds", TdsParams(p.a, p.b, p.c), raw)
+    return _finalize_pmf("tdl", p, raw)

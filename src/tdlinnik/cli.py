@@ -160,8 +160,8 @@ def cmd_pmf(law, kmax, use_oracle, fmt, out, **flags):
 @click.option("--seed", type=int, default=None, help="64-bit seed (echoed to stderr when defaulted)")
 @click.option("--stream", type=int, default=0, show_default=True)
 @click.option("--route", type=click.Choice(sampler.TDL_ROUTES), default="auto", show_default=True,
-              help="tdl/tds generation identity; auto: the GDS-Sibuya compound "
-                   "(tdl route d) for a > 0 and c < 1, else route a")
+              help="tdl/tds generation identity (other laws take only auto); "
+                   "auto: route d (GDS-Sibuya jumps) for a > 0 and c < 1, else route a")
 @click.option("--max-tries", type=int, default=sampler.DEFAULT_MAX_TRIES, show_default=True)
 @click.option("--out", type=click.Path(writable=True, dir_okay=False), default=None)
 @map_errors

@@ -9,10 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import analytic, oracle, sampler
-from .errors import DomainError, UnknownLaw
+from .errors import DomainError, IncompatibleRoute, UnknownLaw
 from .params import (
     GammaParams,
     GdsSibuyaParams,
@@ -52,7 +50,7 @@ LAWS = {
     "tdl": Law(TdlParams, ("a", "b", "c", "d"), analytic.tdl_pgf,
                sampler._sample_tdl, oracle._tdl_series),
     "tds": Law(TdsParams, ("a", "b", "c"), analytic.tds_pgf,
-               sampler._sample_tds, oracle._tds_series),
+               sampler._sample_tdl, oracle._tds_series),
     "dl": Law(LinnikParams, ("gamma", "lambda", "delta"), analytic.dl_pgf,
               sampler._sample_dl, oracle._dl_series),
     "ds": Law(StableParams, ("gamma", "lambda"), analytic.ds_pgf,
@@ -90,14 +88,8 @@ def _lookup(tag: str, params, what: str, count: bool | None = None) -> Law:
 
 
 def family_pgf(law: str, params, s: float) -> float:
-    """Evaluate the p.g.f. of a named integer law at s in [0, 1].
-
-    A d == 0 TDL record is evaluated as its tds law.
-    """
-    transform = _lookup(law, params, "p.g.f.", count=True).transform
-    if law == "tdl" and params.d == 0:
-        return analytic.tds_pgf(params.tds(), s)
-    return transform(params, s)
+    """Evaluate the p.g.f. of a named integer law at s in [0, 1]."""
+    return _lookup(law, params, "p.g.f.", count=True).transform(params, s)
 
 
 def family_laplace(law: str, params, t: float) -> float:
@@ -117,10 +109,6 @@ def series_pmf(law: str, params, order: int) -> analytic.PmfTable:
     series = _lookup(law, params, "series expansion", count=True).series
     if law == "tdl" and params.d == 0:
         return series_pmf("tds", params.tds(), order)
-    if law in ("tdl", "tds") and params.is_degenerate:
-        raw = np.zeros(order + 1)
-        raw[0] = 1.0
-        return analytic._finalize_pmf(law, params, raw)
     return analytic._finalize_pmf(law, params, series(params, order).to_floats())
 
 
@@ -135,11 +123,13 @@ def sample_batch(
 ) -> sampler.SampleBatch:
     """Draw n variates of a named law from a fresh (seed, stream) stream.
 
-    ``route`` picks the generation identity of tdl (one of
-    ``sampler.TDL_ROUTES``) and of tds; other laws ignore it.  The default
-    ``"auto"`` has no tempering rejection: for a > 0 and c < 1 it sums
-    GDS-Sibuya(a, c) jumps over NB counts (tdl route d) or Poisson(b)
-    counts (tds), and otherwise takes route a, whose tempering step is a
+    ``route`` picks the generation identity of tdl and tds (one of
+    ``sampler.TDL_ROUTES``; tds is the d = 0 member of tdl and reads the
+    routes the same way).  Other laws have one identity and take only
+    ``"auto"``; any other route raises :class:`IncompatibleRoute`.  The
+    default ``"auto"`` has no tempering rejection: for a > 0 and c < 1 it
+    is route d, a sum of GDS-Sibuya(a, c) jumps over NB counts (Poisson(b)
+    counts at d = 0), and otherwise route a, whose tempering step is a
     Poisson sum of Gammas for a < 0 and needs no tempering at c = 1.  An
     explicit route "a" keeps the Poisson(TPS) identity, which rejects for
     a > 0 and c < 1 and raises :class:`RejectionBudgetExceeded` after
@@ -148,6 +138,9 @@ def sample_batch(
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
+    sample = _lookup(law, params, "sampler").sample
+    if route != "auto" and sample is not sampler._sample_tdl:
+        raise IncompatibleRoute(f"law {law!r} has no generation routes, got route {route!r}")
     r = sampler.RngStream(seed, stream)
-    values = _lookup(law, params, "sampler").sample(r.generator, params, n, route, max_tries)
+    values = sample(r.generator, params, n, route, max_tries)
     return sampler.SampleBatch(law, params, n, values, seed, stream)

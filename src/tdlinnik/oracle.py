@@ -143,8 +143,8 @@ def _tdl_series(p: TdlParams, order: int) -> TruncatedSeries:
     inner = series_binomial_power(p.c, p.a, order)
     with mp.workdps(ORACLE_DPS):
         beta = mp.mpf(s) * p.b * p.d
-        alpha = 1 - beta * (1 - mp.mpf(p.c)) ** p.a
-        u = inner.scaled(beta).shifted_constant(alpha)
+        # 1 + beta ((1-cs)^a - (1-c)^a): the constant term is exactly 1 at c = 0
+        u = inner.shifted_constant(-(1 - mp.mpf(p.c)) ** p.a).scaled(beta).shifted_constant(1)
     return series_compose_outer(u, ("power", -1.0 / p.d))
 
 

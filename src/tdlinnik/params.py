@@ -12,8 +12,10 @@ so an instance in hand is always admissible.  The tempered discrete Linnik
 ``d == 0`` is represented explicitly as the Poisson-Tweedie branch (the
 shape enters the generating function through 1/d, so zero is a separate
 branch rather than a limit), and ``a == 0`` or ``c == 0`` make the law a
-point mass at zero.  Negative ``d`` is rejected: its admissibility region
-is not characterized, so that branch is out of scope.
+point mass at zero.  A :class:`TdsParams` record is that branch on its
+own, and reads ``d`` as 0.0, so every TDL function takes it as well.
+Negative ``d`` is rejected: its admissibility region is not
+characterized, so that branch is out of scope.
 """
 
 from __future__ import annotations
@@ -95,6 +97,11 @@ class TdsParams:
             raise DomainError(f"c must lie in [0, 1], got {self.c}")
         if self.a <= 0 and self.c >= 1.0:
             raise DomainError("c must be < 1 when a <= 0")
+
+    @property
+    def d(self) -> float:
+        """The TDL shape of this law: it is the d == 0 member of the family."""
+        return 0.0
 
     @property
     def is_degenerate(self) -> bool:

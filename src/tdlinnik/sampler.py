@@ -7,7 +7,7 @@ between threads, never share one concurrently; parallel work should use
 ``stream.split(i)`` to derive independently seeded streams.  Each law's
 batch sampler ``_sample_<tag>(gen, params, n, route, max_tries)`` is listed
 in the registry of :mod:`laws`, whose ``sample_batch`` is the one sampling
-front end; only the tdl and tds samplers read ``route``.
+front end; only the tdl sampler, which also serves tds, reads ``route``.
 
 Generation routes follow the mixture/compound identities of the family:
 
@@ -17,18 +17,19 @@ Generation routes follow the mixture/compound identities of the family:
   Gamma(1/theta, -gamma * Poisson(lam theta^gamma)) (an atom at zero with
   mass exp(-lam theta^gamma)); for gamma in (0, 1] exponential rejection
   of stable proposals with acceptance probability exp(-theta * X),
-* tempered discrete stable, two routes:
-    a     Poisson(TPS(a, b c^a, 1/c - 1))
-    auto  for a in (0, 1] and c < 1, a sum of Poisson(b) copies of
-          GDS-Sibuya(a, c), since the pgf exp(b((1-c)^a - (1-cs)^a)) is
-          exp(b(gds(s) - 1)); otherwise route a,
-* tempered discrete Linnik, four interchangeable routes and a default:
-    a     (any a)       Poisson(TPS(a, Gamma(b d c^a, 1/d), 1/c - 1))
-    b     (a < 0)       Poisson(Gamma(c/(1-c), -a Poisson(Gamma(b d (1-c)^a, 1/d))))
-    c     (a < 0)       NB(c, -a NB(q/(1+q), 1/d)) with q = b d (1-c)^a
-    d     (a in (0,1])  sum of NB(b d/(1+b d), 1/d) copies of GDS-Sibuya(a, c)
-    auto  route d for a in (0, 1] and c < 1, route a otherwise; a d = 0
-          record is drawn as its tds law on route auto.
+* tempered discrete Linnik, with the tempered discrete stable law as its
+  d = 0 member (one sampler serves both tags), on four routes and a
+  default, where B = b at d = 0 and B ~ Gamma(b d, 1/d) (scale, shape)
+  otherwise:
+    a     (any a)       Poisson(TPS(a, B c^a, 1/c - 1))
+    b     (a < 0)       route a: for a < 0 its tempering step is the
+                        Poisson-Gamma compound Poisson(Gamma(c/(1-c),
+                        -a Poisson(B (1-c)^a))), so b names the same draws
+    c     (a < 0)       a sum of Poisson(b (1-c)^a) (d = 0) or
+                        NB(q/(1+q), 1/d) with q = b d (1-c)^a copies of NB(c, -a)
+    d     (a in (0,1])  a sum of Poisson(b) (d = 0) or NB(b d/(1+b d), 1/d)
+                        copies of GDS-Sibuya(a, c)
+    auto  route d for a in (0, 1] and c < 1, route a otherwise.
 
 Route auto, the default, has no tempering rejection: route a's tempering
 step is a Poisson sum of Gammas for a < 0 and is skipped at c = 1
@@ -115,6 +116,8 @@ class RngStream:
     def __init__(self, seed: int, stream: int = 0) -> None:
         self.seed = int(seed)
         self.stream = int(stream)
+        if self.seed < 0 or self.stream < 0:
+            raise DomainError(f"seed and stream must be >= 0, got {self.seed} and {self.stream}")
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((self.seed, self.stream)))
         )
@@ -355,65 +358,36 @@ def _poisson_mix(gen: np.random.Generator, t: np.ndarray) -> np.ndarray:
     return gen.poisson(t)
 
 
-def _sample_tds(gen, p: TdsParams, n, route, max_tries) -> np.ndarray:
-    """Tempered discrete stable.  On route "auto" with a > 0 and c < 1 it is
-    a Poisson(b) sum of GDS-Sibuya(a, c) jumps; otherwise Poisson(TPS(a,
-    b c^a, 1/c - 1)), which rejects only when a > 0 and c < 1."""
-    if p.is_degenerate:
-        return np.zeros(n, dtype=np.int64)
-    if route == "auto" and p.a > 0 and p.c < 1:
-        return _compound_gds(gen, _poisson_mix(gen, np.full(n, p.b)), p.a, p.c, max_tries)
-    theta = 1.0 / p.c - 1.0
-    t = _tps_vec(gen, p.a, p.b * p.c**p.a, theta, n, max_tries)
-    return _poisson_mix(gen, t)
-
-
-def _tdl_route_a(gen, p: TdlParams, n, max_tries) -> np.ndarray:
-    v = gen.gamma(shape=1.0 / p.d, scale=p.b * p.d * p.c**p.a, size=n)
-    theta = 1.0 / p.c - 1.0
-    t = _tps_vec(gen, p.a, v, theta, n, max_tries)
-    return _poisson_mix(gen, t)
-
-
-def _tdl_route_b(gen, p: TdlParams, n, max_tries) -> np.ndarray:
-    omc_a = (1.0 - p.c) ** p.a
-    g1 = gen.gamma(shape=1.0 / p.d, scale=p.b * p.d * omc_a, size=n)
-    n1 = gen.poisson(g1)
-    g2 = gen.gamma(shape=-p.a * n1, scale=p.c / (1.0 - p.c))
-    return _poisson_mix(gen, g2)
-
-
-def _tdl_route_c(gen, p: TdlParams, n, max_tries) -> np.ndarray:
-    q = p.b * p.d * (1.0 - p.c) ** p.a
-    z = _nb_vec(gen, q / (1.0 + q), 1.0 / p.d, n)
+def _compound_jumps(gen: np.random.Generator, p: TdlParams | TdsParams, n: int,
+                    max_tries: int) -> np.ndarray:
+    """Routes c and d: sums of a Poisson (d = 0) or NB(q/(1+q), 1/d)
+    (d > 0) number of jumps with mean b w, where q = b d w.  The jumps are
+    NB(c, -a) with w = (1-c)^a for a < 0, and GDS-Sibuya(a, c) with w = 1
+    for a > 0."""
+    w = (1.0 - p.c) ** p.a if p.a < 0 else 1.0
+    if p.d == 0:
+        counts = _poisson_mix(gen, np.full(n, p.b * w))
+    else:
+        q = p.b * p.d * w
+        counts = _nb_vec(gen, q / (1.0 + q), 1.0 / p.d, n)
+    if p.a > 0:
+        return _compound_gds(gen, counts, p.a, p.c, max_tries)
     out = np.zeros(n, dtype=np.int64)
-    nz = z > 0
+    nz = counts > 0
     if np.any(nz):
-        out[nz] = _nb_vec(gen, p.c, -p.a * z[nz])
+        out[nz] = _nb_vec(gen, p.c, -p.a * counts[nz])
     return out
-
-
-def _tdl_route_d(gen, p: TdlParams, n, max_tries) -> np.ndarray:
-    bd = p.b * p.d
-    z = _nb_vec(gen, bd / (1.0 + bd), 1.0 / p.d, n)
-    return _compound_gds(gen, z, p.a, p.c, max_tries)
-
-
-_TDL_ROUTE_FNS = {
-    "a": _tdl_route_a,
-    "b": _tdl_route_b,
-    "c": _tdl_route_c,
-    "d": _tdl_route_d,
-}
 
 
 def _sample_tdl(
     gen: np.random.Generator,
-    p: TdlParams,
+    p: TdlParams | TdsParams,
     n: int,
     route: str = "auto",
     max_tries: int = DEFAULT_MAX_TRIES,
 ) -> np.ndarray:
+    """Tempered discrete Linnik, and tempered discrete stable as its d = 0
+    member, on the routes of the module docstring."""
     if route not in TDL_ROUTES:
         raise IncompatibleRoute(f"route must be one of {TDL_ROUTES}, got {route!r}")
     if p.is_degenerate:
@@ -423,11 +397,17 @@ def _sample_tdl(
         raise IncompatibleRoute(f"route {route!r} requires a < 0, got a = {p.a}")
     if route == "d" and not 0.0 < p.a <= 1.0:
         raise IncompatibleRoute(f"route 'd' requires a in (0, 1], got a = {p.a}")
-    if p.d == 0:
-        return _sample_tds(gen, p.tds(), n, route, max_tries)
     if route == "auto":
         route = "d" if p.a > 0 and p.c < 1 else "a"
-    return _TDL_ROUTE_FNS[route](gen, p, n, max_tries)
+    if route in ("c", "d"):
+        return _compound_jumps(gen, p, n, max_tries)
+    # routes a and b: Poisson(TPS(a, B c^a, 1/c - 1)) with B = b at d = 0
+    # and B ~ Gamma(b d, 1/d) otherwise, c^a folded into the Gamma scale
+    if p.d == 0:
+        lam = p.b * p.c**p.a
+    else:
+        lam = gen.gamma(shape=1.0 / p.d, scale=p.b * p.d * p.c**p.a, size=n)
+    return _poisson_mix(gen, _tps_vec(gen, p.a, lam, 1.0 / p.c - 1.0, n, max_tries))
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,15 @@ class TestPgfs:
         p = TdlParams(0.0, 1.0, 0.5, 1.0)
         assert all(tdl_pgf(p, s) == 1.0 for s in S_GRID)
 
-    def test_d_zero_raises(self):
-        with pytest.raises(DomainError):
-            tdl_pgf(TdlParams(0.5, 1.0, 0.5, 0.0), 0.5)
+    def test_d_zero_is_the_tds_pgf(self):
+        # the tds law is the d = 0 member: one p.g.f. serves both records
+        assert tds_pgf is tdl_pgf
+        for a, b, c in ((0.5, 1.0, 0.5), (-1.5, 2.0, 0.8)):
+            p = TdlParams(a, b, c, 0.0)
+            for s in (0.0, 0.5, 1.0):
+                want = math.exp(math.copysign(b, a) * ((1 - c) ** a - (1 - c * s) ** a))
+                assert tdl_pgf(p, s) == tds_pgf(p.tds(), s)
+                assert tdl_pgf(p, s) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_family_pgf_serves_d_zero_tdl_as_tds(self):
         p = TdlParams(0.5, 1.0, 0.5, 0.0)
@@ -226,9 +232,14 @@ class TestPmfScalars:
         assert tdl_pmf(p, 0) == 1.0
         assert tdl_pmf(p, 3) == 0.0
 
-    def test_d_zero_dispatch_error(self):
-        with pytest.raises(DomainError):
-            tdl_pmf(TdlParams(0.5, 1.0, 0.5, 0.0), 2)
+    def test_d_zero_is_the_tds_pmf(self):
+        assert tds_pmf is tdl_pmf
+        for a, b, c in ((0.5, 1.0, 0.5), (-1.5, 2.0, 0.8)):
+            p = TdlParams(a, b, c, 0.0)
+            ref = series_pmf("tds", p.tds(), 12)
+            for k in range(13):
+                assert tdl_pmf(p, k) == tds_pmf(p.tds(), k)
+                assert tdl_pmf(p, k) == pytest.approx(ref.p[k], rel=1e-12, abs=0)
 
     def test_table_mismatch_rejected(self):
         p = TdlParams(0.5, 1.0, 0.5, 1.0)

@@ -125,6 +125,33 @@ class TestSampleCommand:
         )
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["sample", "--law", "poisson", "--lambda", "1", "--seed", "-5"],
+        ["sample", "--law", "poisson", "--lambda", "1", "--seed", "1", "--stream", "-2"],
+        ["check", "--seed", "-1"],
+    ])
+    def test_negative_seed_or_stream_exit(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert res.output.startswith("error: ")
+        assert len(res.output.strip().splitlines()) == 1
+
+    def test_route_on_a_law_without_routes_exit(self, runner):
+        res = runner.invoke(
+            main, ["sample", "--law", "nb", "--pi", "0.5", "--delta", "2", "--route", "c", "--seed", "1"],
+        )
+        assert res.exit_code == 2
+        assert res.output.startswith("error: ")
+
+    def test_route_d_on_a_d_zero_record_draws_the_compound(self, runner):
+        # route a rejects here and runs out of 100 tries; route d does not reject
+        args = ["sample", "--law", "tdl", "-a", "0.5", "-b", "20", "-c", "0.9", "-d", "0",
+                "-n", "1000", "--seed", "1", "--max-tries", "100"]
+        res = runner.invoke(main, [*args, "--route", "d"])
+        assert res.exit_code == 0, res.output
+        assert len(res.output.split()) == 1000
+        assert runner.invoke(main, [*args, "--route", "a"]).exit_code == 4
+
     def test_continuous_law_draws_positive_reals(self, runner):
         res = invoke(
             runner, "sample", "--law", "ps", "--gamma", "0.5", "--lambda", "1",

@@ -53,6 +53,10 @@ def test_family_has_thirteen_laws_eight_of_them_count_laws():
     assert COUNT_LAWS == ["tdl", "tds", "dl", "ds", "nb", "sibuya", "gds", "poisson"]
 
 
+def test_tds_is_sampled_as_the_d_zero_member_of_tdl():
+    assert LAWS["tds"].sample is LAWS["tdl"].sample
+
+
 @pytest.mark.parametrize("tag", list(LAWS))
 def test_cli_sample_builds_every_law_from_its_flags(tag):
     flags, params = CASES[tag]

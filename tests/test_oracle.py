@@ -132,6 +132,20 @@ class TestSeriesPmf:
         assert table.p == pytest.approx([1, 0, 0, 0, 0, 0], abs=0)
         assert table.tail_mass == 0.0
 
+    @pytest.mark.parametrize("law, params", [
+        ("tdl", TdlParams(0.5, 1.0, 0.0, 1.0)),
+        ("tdl", TdlParams(-1.0, 1e45, 0.0, 1.0)),  # 1 - b d is inexact at 40 digits
+        ("tdl", TdlParams(0.5, 1e300, 0.0, 1e-5)),
+        ("tdl", TdlParams(-1.0, 1e-30, 0.0, 1e-30)),
+        ("tds", TdsParams(0.5, 1e45, 0.0)),
+        ("tds", TdsParams(0.0, 2.0, 0.5)),
+    ])
+    def test_point_mass_series_is_exact(self, law, params):
+        # the series itself is the point mass at a = 0 or c = 0, at any scale
+        table = series_pmf(law, params, 8)
+        assert table.p.tolist() == [1.0] + [0.0] * 8
+        assert table.tail_mass == 0.0
+
     def test_d_zero_routes_to_tds(self):
         p = TdlParams(0.5, 1.0, 0.5, 0.0)
         a = series_pmf("tdl", p, 15)

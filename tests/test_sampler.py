@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tdlinnik import (
+    DomainError,
     GammaParams,
     GdsSibuyaParams,
     HeavyTailOverflow,
@@ -71,6 +72,13 @@ class TestRngStream:
         r = RngStream(7)
         s = r.split(3)
         assert (s.seed, s.stream) == (7, 3)
+
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (1, -1), (-5, -2)])
+    def test_negative_seed_or_stream_is_a_domain_error(self, seed, stream):
+        with pytest.raises(DomainError, match="must be >= 0"):
+            RngStream(seed, stream)
+        with pytest.raises(DomainError):
+            sample_batch("poisson", PoissonParams(1.0), 3, seed, stream=stream)
 
     def test_batch_determinism(self):
         p = TdlParams(0.5, 1.0, 0.5, 1.0)
@@ -376,6 +384,30 @@ class TestTdlRoutes:
             hists.append(np.bincount(np.minimum(batch.values, kcap + 1), minlength=kcap + 2) / n)
         tv = 0.5 * float(np.abs(hists[0] - hists[1]).sum())
         assert tv < 3.0 * expected_tv
+
+    @pytest.mark.parametrize("p", [
+        TdlParams(-2.0, 1.0, 0.5, 0.25),
+        TdlParams(-1.0, 2.7, 0.93, 1.0),
+        TdlParams(-0.5, 0.5, 0.05, 4.0),
+        TdlParams(-1.3, 1.0, 0.5, 0.0),
+    ])
+    def test_route_b_draws_route_a(self, p):
+        # for a < 0 route a's tempering step is route b's Poisson-Gamma compound
+        a = sample_batch("tdl", p, 5000, seed=67, route="a").values
+        b = sample_batch("tdl", p, 5000, seed=67, route="b").values
+        np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("law, p, route", [
+        ("tds", TdsParams(-1.0, 1.0, 0.7), "c"),
+        ("tdl", TdlParams(-0.5, 2.0, 0.9, 0.0), "c"),
+        ("tds", TdsParams(0.5, 2.0, 0.9), "d"),
+        ("tdl", TdlParams(0.75, 3.0, 0.5, 0.0), "d"),
+    ])
+    def test_compound_routes_at_d_zero_gof(self, law, p, route):
+        # at d = 0 routes c and d draw a Poisson number of jumps
+        batch = sample_batch(law, p, N, seed=68, route=route)
+        report = chi_square_gof(batch, build_pmf_table(p, 300))
+        assert report.p_value > 0.001
 
     def test_d_zero_dispatches_to_tds(self):
         p = TdlParams(0.5, 1.0, 0.5, 0.0)
