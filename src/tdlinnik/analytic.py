@@ -229,7 +229,12 @@ class PmfTable:
 
 
 def _finalize_pmf(law: str, params, raw: np.ndarray) -> PmfTable:
-    """Instability check, clamp to [0, 1], and tail-mass bookkeeping."""
+    """Instability check, clamp to [0, 1], and tail-mass bookkeeping.
+
+    A d == 0 tdl record is tabulated as its tds law.
+    """
+    if law == "tdl" and params.d == 0:
+        law, params = "tds", TdsParams(params.a, params.b, params.c)
     if not np.all(np.isfinite(raw)):
         raise NumericalInstability(f"{law} PMF produced non-finite values")
     low, high = raw.min(), raw.max()
@@ -392,7 +397,4 @@ def build_pmf_table(p: Union[TdlParams, TdsParams], kmax: int) -> PmfTable:
         raise DomainError(f"kmax must be >= 0, got {kmax}")
     if not isinstance(p, (TdlParams, TdsParams)):
         raise DomainError(f"expected TdlParams or TdsParams, got {type(p).__name__}")
-    raw = _panjer(p.a, p.b, p.c, kmax, d=p.d)
-    if p.d == 0:
-        return _finalize_pmf("tds", TdsParams(p.a, p.b, p.c), raw)
-    return _finalize_pmf("tdl", p, raw)
+    return _finalize_pmf("tdl", p, _panjer(p.a, p.b, p.c, kmax, d=p.d))

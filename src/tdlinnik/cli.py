@@ -11,7 +11,6 @@ import dataclasses
 import functools
 import json
 import sys
-import warnings
 
 import click
 import numpy as np
@@ -190,8 +189,8 @@ def cmd_sample(law, n, seed, stream, route, max_tries, out, **flags):
 @map_errors
 def cmd_moments(law, fmt, out, **flags):
     """Mean, variance, dispersion, and shape indexes of the TDL law."""
-    if law != "tdl":
-        raise DomainError("moment formulas are provided for the tdl law only")
+    if law not in ("tdl", "tds"):
+        raise DomainError("moment formulas are provided for the tdl and tds laws only")
     params = _law_params(law, flags)
     summary = moments_mod.tdl_moments(params)
     stream = _open_out(out)
@@ -276,9 +275,7 @@ def cmd_figure(preset, a, b, c_min, c_max, d_min, d_max, grid_c, grid_d, fmt, ou
     if clipped:
         # grid the clipped range so d = 0 itself is swept
         d_range = (0.0, d_range[1])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rows = moments_mod.skew_kurt_trace(a, b, c_range, d_range, (grid_c, grid_d))
+    rows = moments_mod.skew_kurt_trace(a, b, c_range, d_range, (grid_c, grid_d))
     stream = _open_out(out)
     if fmt == "svg":
         stream.write(_svg_polyline(rows))

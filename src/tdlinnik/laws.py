@@ -2,12 +2,16 @@
 
 Each law is wired here once; the functions its record points to live in
 :mod:`analytic`, :mod:`oracle` and :mod:`sampler`, which never import this.
+The series of tdl, tds, dl and ds map their parameters onto the oracle's one
+family builder here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
+
+import mpmath as mp
 
 from . import analytic, oracle, sampler
 from .errors import DomainError, IncompatibleRoute, UnknownLaw
@@ -23,6 +27,7 @@ from .params import (
     TdsParams,
     TemperedLinnikParams,
     TemperedStableParams,
+    sgn,
 )
 
 
@@ -46,15 +51,24 @@ class Law:
         return self.series is not None
 
 
+def _tdl_series(p: TdlParams | TdsParams, order: int) -> oracle.TruncatedSeries:
+    """The family series of a tdl record, or of its d = 0 member tds."""
+    beta = sgn(p.a) * mp.mpf(p.b)
+    if p.d == 0:
+        return oracle._family_series(p.a, p.c, -beta, None, order)
+    return oracle._family_series(p.a, p.c, beta * p.d, -1.0 / p.d, order)
+
+
 LAWS = {
     "tdl": Law(TdlParams, ("a", "b", "c", "d"), analytic.tdl_pgf,
-               sampler._sample_tdl, oracle._tdl_series),
+               sampler._sample_tdl, _tdl_series),
     "tds": Law(TdsParams, ("a", "b", "c"), analytic.tds_pgf,
-               sampler._sample_tdl, oracle._tds_series),
-    "dl": Law(LinnikParams, ("gamma", "lambda", "delta"), analytic.dl_pgf,
-              sampler._sample_dl, oracle._dl_series),
-    "ds": Law(StableParams, ("gamma", "lambda"), analytic.ds_pgf,
-              sampler._sample_ds, oracle._ds_series),
+               sampler._sample_tdl, _tdl_series),
+    "dl": Law(LinnikParams, ("gamma", "lambda", "delta"), analytic.dl_pgf, sampler._sample_dl,
+              lambda p, k: oracle._family_series(p.gamma, 1.0, mp.mpf(p.lam) / p.delta,
+                                                 -p.delta, k)),
+    "ds": Law(StableParams, ("gamma", "lambda"), analytic.ds_pgf, sampler._sample_ds,
+              lambda p, k: oracle._family_series(p.gamma, 1.0, -p.lam, None, k)),
     "ps": Law(StableParams, ("gamma", "lambda"), analytic.ps_laplace, sampler._sample_ps),
     "tps": Law(TemperedStableParams, ("gamma", "lambda", "theta"), analytic.tps_laplace,
                sampler._sample_tps),
@@ -101,15 +115,17 @@ def series_pmf(law: str, params, order: int) -> analytic.PmfTable:
     """Ground-truth PMF of an integer law from its p.g.f. Taylor coefficients.
 
     Independent of the finite-sum coefficient formulas; computed in
-    extended precision and rounded to double on return.  ``order`` is
-    capped at 200.  A d == 0 TDL record gives the table of its tds law.
+    extended precision and rounded to double on return: the builder runs at
+    ``oracle.ORACLE_DPS`` significant digits, set here for the whole
+    expansion.  ``order`` is capped at 200.  A d == 0 TDL record gives the
+    table of its tds law.
     """
     if not 0 <= order <= oracle.MAX_SERIES_ORDER:
         raise DomainError(f"order must lie in [0, {oracle.MAX_SERIES_ORDER}], got {order}")
     series = _lookup(law, params, "series expansion", count=True).series
-    if law == "tdl" and params.d == 0:
-        return series_pmf("tds", params.tds(), order)
-    return analytic._finalize_pmf(law, params, series(params, order).to_floats())
+    with mp.workdps(oracle.ORACLE_DPS):
+        raw = series(params, order).to_floats()
+    return analytic._finalize_pmf(law, params, raw)
 
 
 def sample_batch(
@@ -138,6 +154,8 @@ def sample_batch(
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
+    if max_tries < 1:
+        raise DomainError(f"max_tries must be >= 1, got {max_tries}")
     sample = _lookup(law, params, "sampler").sample
     if route != "auto" and sample is not sampler._sample_tdl:
         raise IncompatibleRoute(f"law {law!r} has no generation routes, got route {route!r}")

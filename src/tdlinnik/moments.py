@@ -26,7 +26,7 @@ import numpy as np
 
 from .analytic import PmfTable
 from .errors import DegenerateDistribution, DomainError, EmptyGrid, TailTooHeavy
-from .params import TdlParams, sgn
+from .params import TdlParams, TdsParams, sgn
 
 #: tables with more tail mass than this cannot support trusted moments
 MOMENT_TAIL_LIMIT = 1e-9
@@ -45,8 +45,8 @@ class MomentSummary:
     alpha4: float
 
 
-def tdl_moments(p: TdlParams) -> MomentSummary:
-    """Closed-form moment summary at a parameter point.
+def tdl_moments(p: TdlParams | TdsParams) -> MomentSummary:
+    """Closed-form moment summary at a parameter point (a tds record is d = 0).
 
     Raises :class:`DegenerateDistribution` when the law is a point mass
     (a == 0 or c == 0: mu = 0, the indexes are undefined) and

@@ -2,10 +2,13 @@
 
 Two oracles live here:
 
-* truncated power series in extended precision (mpmath, 40 significant
-  digits by default), used to extract PMF values directly as Taylor
-  coefficients of the generating functions (``series_pmf`` in :mod:`laws`
-  picks each count law's builder).  This path shares nothing with the
+* truncated power series in extended precision (mpmath), used to extract
+  PMF values directly as Taylor coefficients of the generating functions.
+  ``series_pmf`` in :mod:`laws` picks each count law's builder and runs it
+  at ``ORACLE_DPS`` (40) significant digits; the builders here set no
+  precision of their own.  One family builder, :func:`_family_series`,
+  serves tdl, tds, dl and ds, whose p.g.f.s all read
+  outer(beta ((1-cs)^a - (1-c)^a)).  This path shares nothing with the
   finite-sum evaluation it checks: powers and exponentials of series are
   expanded by the classical coefficient recurrences (J.C.P. Miller), so
   it is strictly more accurate than the production double-precision path.
@@ -30,17 +33,7 @@ from .errors import (
     SingularComposition,
     UnsupportedOuterFunction,
 )
-from .params import (
-    GdsSibuyaParams,
-    LinnikParams,
-    NegativeBinomialParams,
-    PoissonParams,
-    SibuyaParams,
-    StableParams,
-    TdlParams,
-    TdsParams,
-    sgn,
-)
+from .params import GdsSibuyaParams, NegativeBinomialParams, PoissonParams, SibuyaParams
 from .sampler import SampleBatch
 
 #: working precision (significant decimal digits) for series arithmetic
@@ -138,43 +131,23 @@ def series_compose_outer(inner: TruncatedSeries, outer: OuterTag) -> TruncatedSe
     raise UnsupportedOuterFunction(f"outer must be 'exp' or ('power', p), got {outer!r}")
 
 
-def _tdl_series(p: TdlParams, order: int) -> TruncatedSeries:
-    s = sgn(p.a)
-    inner = series_binomial_power(p.c, p.a, order)
-    with mp.workdps(ORACLE_DPS):
-        beta = mp.mpf(s) * p.b * p.d
-        # 1 + beta ((1-cs)^a - (1-c)^a): the constant term is exactly 1 at c = 0
-        u = inner.shifted_constant(-(1 - mp.mpf(p.c)) ** p.a).scaled(beta).shifted_constant(1)
-    return series_compose_outer(u, ("power", -1.0 / p.d))
+def _family_series(a: float, c: float, beta, power: float | None, order: int) -> TruncatedSeries:
+    """Taylor series of the TDL-family p.g.f. form at the current precision.
 
-
-def _tds_series(p: TdsParams, order: int) -> TruncatedSeries:
-    s = sgn(p.a)
-    inner = series_binomial_power(p.c, p.a, order)
-    with mp.workdps(ORACLE_DPS):
-        beta = -mp.mpf(s) * p.b
-        alpha = -beta * (1 - mp.mpf(p.c)) ** p.a
-        u = inner.scaled(beta).shifted_constant(alpha)
-    return series_compose_outer(u, "exp")
-
-
-def _dl_series(p: LinnikParams, order: int) -> TruncatedSeries:
-    inner = series_binomial_power(1.0, p.gamma, order)
-    with mp.workdps(ORACLE_DPS):
-        u = inner.scaled(mp.mpf(p.lam) / p.delta).shifted_constant(1)
-    return series_compose_outer(u, ("power", -p.delta))
-
-
-def _ds_series(p: StableParams, order: int) -> TruncatedSeries:
-    inner = series_binomial_power(1.0, p.gamma, order)
-    return series_compose_outer(inner.scaled(-p.lam), "exp")
+    With u = beta ((1-cs)^a - (1-c)^a), it expands exp(u) when ``power`` is
+    None and (1 + u)^power otherwise; the constant term is exactly 0 resp.
+    1 at c = 0, and c = 1 (a > 0) gives the discrete stable and Linnik laws.
+    """
+    inner = series_binomial_power(c, a, order)
+    u = inner.shifted_constant(-(1 - mp.mpf(c)) ** a).scaled(beta)
+    if power is None:
+        return series_compose_outer(u, "exp")
+    return series_compose_outer(u.shifted_constant(1), ("power", power))
 
 
 def _nb_series(p: NegativeBinomialParams, order: int) -> TruncatedSeries:
     inner = series_binomial_power(p.pi, -p.delta, order)
-    with mp.workdps(ORACLE_DPS):
-        norm = (1 - mp.mpf(p.pi)) ** p.delta
-    return inner.scaled(norm)
+    return inner.scaled((1 - mp.mpf(p.pi)) ** p.delta)
 
 
 def _sibuya_series(p: SibuyaParams, order: int) -> TruncatedSeries:
@@ -184,17 +157,14 @@ def _sibuya_series(p: SibuyaParams, order: int) -> TruncatedSeries:
 
 def _gds_series(p: GdsSibuyaParams, order: int) -> TruncatedSeries:
     inner = series_binomial_power(p.tau, p.gamma, order)
-    with mp.workdps(ORACLE_DPS):
-        const = 1 + (1 - mp.mpf(p.tau)) ** p.gamma
-    return inner.scaled(-1).shifted_constant(const)
+    return inner.scaled(-1).shifted_constant(1 + (1 - mp.mpf(p.tau)) ** p.gamma)
 
 
 def _poisson_series(p: PoissonParams, order: int) -> TruncatedSeries:
-    with mp.workdps(ORACLE_DPS):
-        lam = mp.mpf(p.lam)
-        coeffs = [mp.e**-lam]
-        for k in range(order):
-            coeffs.append(coeffs[-1] * lam / (k + 1))
+    lam = mp.mpf(p.lam)
+    coeffs = [mp.e**-lam]
+    for k in range(order):
+        coeffs.append(coeffs[-1] * lam / (k + 1))
     return TruncatedSeries(tuple(coeffs))
 
 

@@ -40,6 +40,21 @@ def sgn(x: float) -> float:
     return math.copysign(1.0, x)
 
 
+def _check_tdl(a: float, b: float, c: float, d: float) -> None:
+    """The TDL domain; a tds record is checked as its d == 0 member."""
+    _check_finite(a=a, b=b, c=c, d=d)
+    if a > 1:
+        raise DomainError(f"a must be <= 1, got {a}")
+    if b <= 0:
+        raise DomainError(f"b must be > 0, got {b}")
+    if not 0.0 <= c <= 1.0:
+        raise DomainError(f"c must lie in [0, 1], got {c}")
+    if a <= 0 and c >= 1.0:
+        raise DomainError("c must be < 1 when a <= 0")
+    if d < 0:
+        raise DomainError(f"d must be >= 0, got {d} (negative shape is out of scope)")
+
+
 @dataclass(frozen=True, slots=True)
 class TdlParams:
     """Tempered discrete Linnik parameters (a, b, c, d)."""
@@ -50,19 +65,7 @@ class TdlParams:
     d: float
 
     def __post_init__(self) -> None:
-        _check_finite(a=self.a, b=self.b, c=self.c, d=self.d)
-        if self.a > 1:
-            raise DomainError(f"a must be <= 1, got {self.a}")
-        if self.b <= 0:
-            raise DomainError(f"b must be > 0, got {self.b}")
-        if not 0.0 <= self.c <= 1.0:
-            raise DomainError(f"c must lie in [0, 1], got {self.c}")
-        if self.a <= 0 and self.c >= 1.0:
-            raise DomainError("c must be < 1 when a <= 0")
-        if self.d < 0:
-            raise DomainError(
-                f"d must be >= 0, got {self.d} (negative shape is out of scope)"
-            )
+        _check_tdl(self.a, self.b, self.c, self.d)
 
     @property
     def is_poisson_tweedie(self) -> bool:
@@ -88,15 +91,7 @@ class TdsParams:
     c: float
 
     def __post_init__(self) -> None:
-        _check_finite(a=self.a, b=self.b, c=self.c)
-        if self.a > 1:
-            raise DomainError(f"a must be <= 1, got {self.a}")
-        if self.b <= 0:
-            raise DomainError(f"b must be > 0, got {self.b}")
-        if not 0.0 <= self.c <= 1.0:
-            raise DomainError(f"c must lie in [0, 1], got {self.c}")
-        if self.a <= 0 and self.c >= 1.0:
-            raise DomainError("c must be < 1 when a <= 0")
+        _check_tdl(self.a, self.b, self.c, 0.0)
 
     @property
     def d(self) -> float:

@@ -152,6 +152,15 @@ class TestSampleCommand:
         assert len(res.output.split()) == 1000
         assert runner.invoke(main, [*args, "--route", "a"]).exit_code == 4
 
+    @pytest.mark.parametrize("args", [
+        ["--law", "tps", "--gamma", "0.5", "--lambda", "1", "--theta", "1", "--max-tries", "-3"],
+        ["--law", "tdl", "-a", "0.5", "-b", "1", "-c", "0.5", "-d", "1", "--max-tries", "0"],
+    ], ids=["tps-negative", "tdl-zero"])
+    def test_max_tries_below_one_is_a_domain_error(self, runner, args):
+        res = runner.invoke(main, ["sample", *args, "-n", "5", "--seed", "1"])
+        assert res.exit_code == 2
+        assert res.output == "error: max_tries must be >= 1, got " + args[-1] + "\n"
+
     def test_continuous_law_draws_positive_reals(self, runner):
         res = invoke(
             runner, "sample", "--law", "ps", "--gamma", "0.5", "--lambda", "1",
@@ -207,6 +216,19 @@ class TestMomentsCommand:
             main, ["moments", "-a", "0", "-b", "1", "-c", "0.5", "-d", "1"]
         )
         assert res.exit_code == 5
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_tds_is_the_d_zero_member(self, runner, fmt):
+        point = ["-a", "-1", "-b", "2", "-c", "0.3", "--format", fmt]
+        tds = invoke(runner, "moments", "--law", "tds", *point)
+        tdl = invoke(runner, "moments", "--law", "tdl", *point, "-d", "0")
+        assert tds.exit_code == tdl.exit_code == 0
+        assert tds.stdout_bytes == tdl.stdout_bytes
+
+    def test_other_laws_have_no_moment_formulas(self, runner):
+        res = runner.invoke(main, ["moments", "--law", "nb", "--pi", "0.5", "--delta", "2"])
+        assert res.exit_code == 2
+        assert res.output.startswith("error: moment formulas")
 
 
 class TestFigureCommand:

@@ -68,9 +68,27 @@ def test_cli_sample_builds_every_law_from_its_flags(tag):
     assert [float(x) for x in res.output.split()] == [float(v) for v in want]
 
 
-@pytest.mark.parametrize("tag", COUNT_LAWS)
-def test_series_matches_registered_pgf(tag):
-    params = CASES[tag][1]
+@pytest.mark.parametrize("tag", list(LAWS))
+def test_max_tries_below_one_is_a_domain_error(tag):
+    with pytest.raises(DomainError, match="max_tries must be >= 1"):
+        sample_batch(tag, CASES[tag][1], 5, 1, max_tries=0)
+
+
+#: family corners served by the oracle's one TDL-family builder
+SERIES_CORNERS = [
+    ("tdl", TdlParams(0.5, 1.0, 0.3, 0.0)),
+    ("tdl", TdlParams(0.5, 1.5, 1.0, 2.0)),
+    ("tds", TdsParams(0.75, 2.0, 1.0)),
+    ("tdl", TdlParams(-1.5, 0.7, 0.6, 0.5)),
+]
+
+
+@pytest.mark.parametrize(
+    "tag, params",
+    [(tag, CASES[tag][1]) for tag in COUNT_LAWS] + SERIES_CORNERS,
+    ids=COUNT_LAWS + ["tdl-d0", "tdl-c1", "tds-c1", "tdl-a-neg"],
+)
+def test_series_matches_registered_pgf(tag, params):
     table = series_pmf(tag, params, 60)
     s = 0.5
     partial = sum(pk * s**k for k, pk in enumerate(table.p))

@@ -6,11 +6,14 @@ import pytest
 
 from tdlinnik import (
     DomainError,
+    GdsSibuyaParams,
     InsufficientSample,
+    LinnikParams,
     NegativeBinomialParams,
     PoissonParams,
     SibuyaParams,
     SingularComposition,
+    StableParams,
     TdlParams,
     TdsParams,
     UnknownLaw,
@@ -22,6 +25,7 @@ from tdlinnik import (
     series_compose_outer,
     series_pmf,
 )
+from tdlinnik import oracle
 from tdlinnik.analytic import PmfTable
 from tdlinnik.oracle import ORACLE_DPS, TruncatedSeries, _chi2_sf
 from tdlinnik.sampler import SampleBatch
@@ -151,6 +155,26 @@ class TestSeriesPmf:
         a = series_pmf("tdl", p, 15)
         b = series_pmf("tds", TdsParams(0.5, 1.0, 0.5), 15)
         assert a.p == pytest.approx(b.p, abs=0)
+
+    @pytest.mark.parametrize("law, params", [
+        ("tdl", TdlParams(-1.5, 1.0, 0.9, 4.0)),
+        ("tds", TdsParams(0.5, 2.7, 0.5)),
+        ("dl", LinnikParams(0.5, 1.0, 0.25)),
+        ("ds", StableParams(0.5, 2.7)),
+        ("nb", NegativeBinomialParams(0.9, 0.3)),
+        ("sibuya", SibuyaParams(0.25)),
+        ("gds", GdsSibuyaParams(0.5, 0.9)),
+        ("poisson", PoissonParams(40.0)),
+    ])
+    def test_40_digits_give_the_80_digit_table(self, law, params, monkeypatch):
+        # at the top order, every double of the 40-digit table is the 80-digit
+        # value rounded; the ambient 80 digits also cover any arithmetic a
+        # builder might do outside the oracle's precision
+        at_40 = series_pmf(law, params, oracle.MAX_SERIES_ORDER)
+        monkeypatch.setattr(oracle, "ORACLE_DPS", 80)
+        with mp.workdps(80):
+            at_80 = series_pmf(law, params, oracle.MAX_SERIES_ORDER)
+        assert at_40.p.tolist() == at_80.p.tolist()
 
     def test_nb_series_matches_recurrence(self):
         p = NegativeBinomialParams(0.4, 2.5)

@@ -86,12 +86,16 @@ class TestValidateTdl:
         for a in (-eps, 0.0, eps, 1.0, 1.0 + eps):
             for c in (0.0, eps, 1.0 - eps, 1.0):
                 for d in (0.0, eps):
-                    expected = in_tdl_domain(a, 1.0, c, d)
-                    if expected:
-                        validate_tdl(a, 1.0, c, d)
-                    else:
-                        with pytest.raises(DomainError):
-                            validate_tdl(a, 1.0, c, d)
+                    # a tds record is the d = 0 member and obeys the same rules
+                    builds = [lambda: validate_tdl(a, 1.0, c, d)]
+                    if d == 0:
+                        builds.append(lambda: TdsParams(a, 1.0, c))
+                    for build in builds:
+                        if in_tdl_domain(a, 1.0, c, d):
+                            build()
+                        else:
+                            with pytest.raises(DomainError):
+                                build()
 
 
 class TestOtherRecords:
@@ -100,6 +104,19 @@ class TestOtherRecords:
         with pytest.raises(DomainError):
             TdsParams(-1.0, 1.0, 1.0)
         TdsParams(0.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize("point, message", [
+        ((1.5, 1.0, 0.5), "a must be <= 1, got 1.5"),
+        ((0.5, 0.0, 0.5), "b must be > 0, got 0.0"),
+        ((0.5, 1.0, 1.1), "c must lie in [0, 1], got 1.1"),
+        ((-1.0, 1.0, 1.0), "c must be < 1 when a <= 0"),
+        ((math.nan, 1.0, 0.5), "a must be a finite real, got nan"),
+    ])
+    def test_tds_rejections_read_as_tdl_at_d_zero(self, point, message):
+        for build in (lambda: TdsParams(*point), lambda: TdlParams(*point, 0.0)):
+            with pytest.raises(DomainError) as err:
+                build()
+            assert str(err.value) == message
 
     def test_tempered_stable_needs_theta_for_negative_gamma(self):
         TemperedStableParams(0.5, 1.0, 0.0)
