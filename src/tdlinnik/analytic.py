@@ -27,8 +27,10 @@ therefore reads the m-sum as a compound law, a Poisson (TDS) or negative
 binomial (TDL) number of jumps with weights |binom(a, j)| c^j, and
 evaluates it by Panjer's recursion: O(kmax^2) work, all-positive terms,
 and a running power-of-two scale, so whole tables stay accurate out to k
-in the thousands even where P(X = 0) underflows.  The finite sum itself
-remains the reference path the tests check the tables against.
+in the thousands even where P(X = 0) underflows.  Each entry is one dot
+product over the interleaved pairs (k g_k, g_k), since up to a few
+thousand entries the cost per entry is interpreter overhead.  The finite
+sum itself remains the reference path the tests check the tables against.
 """
 
 from __future__ import annotations
@@ -343,14 +345,21 @@ def _panjer(a: float, b: float, c: float, kmax: int, *, d: float) -> np.ndarray:
         d > 0:   g_0 = x0^(-1/d),         A = y, B = y (1/d - 1)
 
     with h = 1 - (1-c)^a, x0 = 1 + sgn(a) b d h and y = b d / x0.  Writing
-    A + B j/k = A (k-j)/k + (A + B) j/k gives two dot products with
+    A + B j/k = A (k-j)/k + (A + B) j/k and i = k - j gives
+
+        k g_k = sum_{i=0..k-1} A r_{k-i} (i g_i) + (A + B) (k-i) r_{k-i} g_i,
+
     non-negative weights whatever the sign of B, so no term cancels.  The
-    recursion runs on g_k / 2^e, starting from log g_0 and raising e
-    whenever the scaled values grow large, so a g_0 that underflows double
-    precision still yields the mass lying inside kmax.
+    pairs (i g_i, g_i) are stored interleaved in one array z and the
+    weights in one reversed array w, so each entry costs one contiguous
+    dot product: at these sizes the per-entry cost is interpreter
+    overhead, not arithmetic.  The recursion runs on g_k / 2^e, starting
+    from log g_0 and raising e whenever the scaled values grow large, so
+    a g_0 that underflows double precision still yields the mass lying
+    inside kmax.
     """
-    g = np.zeros(kmax + 1)
     if a == 0 or c == 0:
+        g = np.zeros(kmax + 1)
         g[0] = 1.0
         return g
     h = 1.0 - _pow_one_minus(c, a)
@@ -364,25 +373,22 @@ def _panjer(a: float, b: float, c: float, kmax: int, *, d: float) -> np.ndarray:
         A = b * d / (1.0 + arg)
         A_plus_B = A / d
     r = _abs_binom_sequence(a, kmax, damp=c)
-    # reversed, so that each step dots contiguous slices:
-    # sum_{j=1..k} r_j g_{k-j} = dot(rev_r[kmax-k : kmax], g[:k])
-    rev_r = r[::-1].copy()
-    rev_jr = (np.arange(kmax + 1) * r)[::-1].copy()
-    kg = np.zeros(kmax + 1)  # k g_k, on the same scale as g
+    # w[2m] = A r_j and w[2m+1] = (A+B) j r_j with j = kmax - m, so that
+    # k g_k = dot(w[2(kmax-k) : 2 kmax], z[:2k]) with z[2i] = i g_i and
+    # z[2i+1] = g_i, on the running scale 2^e
+    w = np.column_stack((A * r, A_plus_B * np.arange(kmax + 1) * r))[::-1].ravel()
+    z = np.zeros(2 * kmax + 2)
     e = math.floor(log_g0 / _LN2)
-    g[0] = math.exp(log_g0 - e * _LN2)
+    z[1] = math.exp(log_g0 - e * _LN2)
+    top = 2 * kmax
     for k in range(1, kmax + 1):
-        lo = kmax - k
-        gk = float(
-            A * np.dot(rev_r[lo:kmax], kg[:k]) + A_plus_B * np.dot(rev_jr[lo:kmax], g[:k])
-        ) / k
-        g[k] = gk
-        kg[k] = k * gk
+        gk = float(w[top - 2 * k : top].dot(z[: 2 * k])) / k
+        z[2 * k] = k * gk
+        z[2 * k + 1] = gk
         if gk > _RESCALE_AT:
-            g[: k + 1] = np.ldexp(g[: k + 1], -_RESCALE_BITS)
-            kg[: k + 1] = np.ldexp(kg[: k + 1], -_RESCALE_BITS)
+            z[: 2 * k + 2] = np.ldexp(z[: 2 * k + 2], -_RESCALE_BITS)
             e += _RESCALE_BITS
-    return np.ldexp(g, e)
+    return np.ldexp(z[1::2], e)
 
 
 def build_pmf_table(p: Union[TdlParams, TdsParams], kmax: int) -> PmfTable:

@@ -50,7 +50,8 @@ class TruncatedSeries:
     """Coefficients c[0..K] of a power series truncated at order K.
 
     Coefficients are mpmath floats; arithmetic on two series carries the
-    smaller truncation order.
+    smaller truncation order and runs at ``ORACLE_DPS``, whatever mpmath's
+    ambient precision.
     """
 
     coeffs: tuple
@@ -61,17 +62,20 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         k = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs[: k + 1], other.coeffs[: k + 1]))
-        )
+        with mp.workdps(ORACLE_DPS):
+            return TruncatedSeries(
+                tuple(a + b for a, b in zip(self.coeffs[: k + 1], other.coeffs[: k + 1]))
+            )
 
     def scaled(self, factor) -> "TruncatedSeries":
-        f = mp.mpf(factor)
-        return TruncatedSeries(tuple(f * c for c in self.coeffs))
+        with mp.workdps(ORACLE_DPS):
+            f = mp.mpf(factor)
+            return TruncatedSeries(tuple(f * c for c in self.coeffs))
 
     def shifted_constant(self, constant) -> "TruncatedSeries":
         """Add a constant to the series (affects only the 0th coefficient)."""
-        c0 = self.coeffs[0] + mp.mpf(constant)
+        with mp.workdps(ORACLE_DPS):
+            c0 = self.coeffs[0] + mp.mpf(constant)
         return TruncatedSeries((c0,) + self.coeffs[1:])
 
     def to_floats(self) -> np.ndarray:

@@ -34,8 +34,10 @@ Generation routes follow the mixture/compound identities of the family:
 Route auto, the default, has no tempering rejection: route a's tempering
 step is a Poisson sum of Gammas for a < 0 and is skipped at c = 1
 (theta = 0).  Only the explicit route a (and tps, tpl) temper by
-rejection, for a > 0 and c < 1; the one other rejection step, GDS-Sibuya
-thinning (below), knows its expected tries per draw before it starts.
+rejection, for a > 0 and c < 1.  Both rejection steps, tempering and
+GDS-Sibuya thinning (below), know their expected tries per draw before
+they start and raise :class:`RejectionBudgetExceeded` up front when it
+exceeds ``max_tries``.
 
 Poisson, Gamma and negative binomial primitives are delegated
 to numpy's Generator; their correctness is enforced by the goodness-of-fit
@@ -329,6 +331,13 @@ def _tps_vec(
     out = np.empty(n)
     active = np.flatnonzero(lam > 0)
     out[lam == 0] = 0.0
+    # the draw with the largest lam expects exp(lam theta^gamma) tries
+    log_tries = float(lam.max(initial=0.0)) * theta**gamma
+    if log_tries > math.log(max_tries):
+        raise RejectionBudgetExceeded(
+            f"tempering rejection expects exp({log_tries:.4g}) tries for its worst draw, "
+            f"above max_tries = {max_tries} (acceptance rate exp(-lam theta^gamma) too small)"
+        )
     tries = 0
     while active.size:
         tries += 1

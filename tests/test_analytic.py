@@ -406,6 +406,30 @@ class TestPanjer:
             ) * mp.mpf(2) ** -k
         assert table.p[k] == pytest.approx(float(want), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("b, c, d", [(2.0, 0.9, 1.0), (1.5, 0.95, 4.0), (3.0, 0.8, 0.25)])
+    def test_matches_the_exact_geometric_compound_past_order_200(self, b, c, d):
+        # at a = -1 the law is an NB(1/d, q/(1+q)) number N of geometric
+        # jumps P(J = j) = (1-c) c^(j-1), j >= 1, with q = b d c/(1-c), so
+        # P(X = k) = sum_{n=1..k} P(N = n) binom(k-1, n-1) (1-c)^n c^(k-n)
+        table = build_pmf_table(TdlParams(-1.0, b, c, d), 3200)
+        for k in (500, 1600, 3200):
+            with mp.workdps(30):
+                cm, r = mp.mpf(c), 1 / mp.mpf(d)
+                q = mp.mpf(b) * mp.mpf(d) * cm / (1 - cm)
+                pn = q / (1 + q)
+                term = r * (1 - pn) ** r * pn * (1 - cm) * cm ** (k - 1)  # n = 1
+                want = term
+                for n in range(1, k):
+                    term *= pn * (1 - cm) / cm * (n + r) * (k - n) / ((n + 1) * n)
+                    want += term
+            assert table.p[k] == pytest.approx(float(want), rel=1e-12, abs=0)
+
+    def test_longer_table_extends_the_shorter_one(self):
+        # the point rescales by 2^800 on the way (P(0) is about 1e-382)
+        p = TdlParams(0.5, 3000.0, 0.5, 0.0)
+        short, long = build_pmf_table(p, 2000).p, build_pmf_table(p, 3200).p
+        assert long[:2001] == pytest.approx(short, rel=1e-14, abs=0)
+
 
 class TestCompoundIdentities:
     def test_positive_a_compound_nb_of_gds(self):

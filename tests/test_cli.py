@@ -152,6 +152,15 @@ class TestSampleCommand:
         assert len(res.output.split()) == 1000
         assert runner.invoke(main, [*args, "--route", "a"]).exit_code == 4
 
+    def test_route_a_out_of_budget_is_refused_up_front(self, runner):
+        # exp(20 * 0.9^0.5 * (1/0.9 - 1)^0.5) = 5.6e2 expected tries per draw
+        res = runner.invoke(main, [
+            "sample", "--law", "tdl", "-a", "0.5", "-b", "20", "-c", "0.9", "-d", "0",
+            "--route", "a", "--max-tries", "100", "-n", "1000", "--seed", "1",
+        ])
+        assert res.exit_code == 4
+        assert "tempering rejection expects" in res.output
+
     @pytest.mark.parametrize("args", [
         ["--law", "tps", "--gamma", "0.5", "--lambda", "1", "--theta", "1", "--max-tries", "-3"],
         ["--law", "tdl", "-a", "0.5", "-b", "1", "-c", "0.5", "-d", "1", "--max-tries", "0"],

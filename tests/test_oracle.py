@@ -63,6 +63,20 @@ class TestSeriesBasics:
         with pytest.raises(DomainError):
             series_binomial_power(0.5, 0.5, -1)
 
+    def test_helpers_work_at_oracle_precision(self):
+        # called at an ambient 15 digits, the helpers still keep a 40-digit
+        # operand to 40 digits: 1/3 rounded to 53 bits would be off by
+        # 5.6e-17 relative
+        s = series_binomial_power(0.5, 0.5, 3)  # 1, -1/4, -1/32, -1/128
+        with mp.workdps(ORACLE_DPS):
+            third = mp.mpf(1) / 3
+            want_scaled, want_shifted, want_sum = -third / 4, 1 + third, 2 * third
+        one_third = TruncatedSeries((third,))
+        with mp.workdps(15):
+            assert abs(s.scaled(third).coeffs[1] - want_scaled) < 1e-35
+            assert abs(s.shifted_constant(third).coeffs[0] - want_shifted) < 1e-35
+            assert abs((one_third + one_third).coeffs[0] - want_sum) < 1e-35
+
 
 class TestComposeOuter:
     def test_exp_of_zero_series(self):

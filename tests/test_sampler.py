@@ -320,6 +320,14 @@ class TestTemperedPositiveStable:
         with pytest.raises(RejectionBudgetExceeded):
             sample_batch("tps", TemperedStableParams(0.5, 30.0, 5.0), 1, seed=1, max_tries=50)
 
+    def test_rejection_budget_fails_up_front(self):
+        # exp(30 * 5^0.5) = 1.4e29 expected tries per draw is known before the
+        # first proposal, so the batch is refused without 50 rounds of Kanter
+        t0 = time.perf_counter()
+        with pytest.raises(RejectionBudgetExceeded, match="expects"):
+            sample_batch("tps", TemperedStableParams(0.5, 30.0, 5.0), 10**5, seed=1, max_tries=50)
+        assert time.perf_counter() - t0 < 0.05
+
 
 class TestTdlRoutes:
     def test_degenerate_always_zero(self):
