@@ -372,6 +372,11 @@ def _panjer(a: float, b: float, c: float, kmax: int, *, d: float) -> np.ndarray:
         log_g0 = -math.log1p(arg) / d  # log (1 + sgn(a) b d h)^(-1/d)
         A = b * d / (1.0 + arg)
         A_plus_B = A / d
+    if log_g0 < -_LN2 * (_RESCALE_BITS * kmax + 2100):
+        # e rises by at most _RESCALE_BITS per entry and the scaled values
+        # stay below 2^1024, so every entry lies below 2^-1076 and rounds
+        # to 0; e itself would leave the int32 range of np.ldexp
+        return np.zeros(kmax + 1)
     r = _abs_binom_sequence(a, kmax, damp=c)
     # w[2m] = A r_j and w[2m+1] = (A+B) j r_j with j = kmax - m, so that
     # k g_k = dot(w[2(kmax-k) : 2 kmax], z[:2k]) with z[2i] = i g_i and

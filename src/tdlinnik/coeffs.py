@@ -8,7 +8,7 @@ the k-th Taylor coefficient of (1 - (1-s)^gamma)^m up to the sign (-1)^k.
 Three evaluation paths are provided and cross-checked against each other:
 
 * :func:`coeff_c` -- the defining alternating sum, evaluated in exact
-  rational arithmetic and rounded once on return.  The alternating sum
+  integer arithmetic and rounded once on return.  The alternating sum
   loses all significance in double precision for gamma < 0 already around
   k ~ 25 (the largest term exceeds the result by ~18 orders of magnitude),
   so the definitional path is kept exact and serves as the slow oracle.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,22 +48,22 @@ def gen_binom(x: float, k: int) -> float:
 def coeff_c(gamma: float, m: int, k: int) -> float:
     """The alternating sum sum_j (-1)^j binom(m,j) binom(gamma*j, k).
 
-    Exact rational evaluation on the binary value of ``gamma``; the only
-    rounding is the final conversion to float.  Intended as the reference
-    path; cost grows with m*k, so use :func:`build_table` in bulk.
+    Exact integer evaluation on the binary value of ``gamma`` = N / D (D a
+    power of two): with binom(gamma j, k) = prod_{i<k} (N j - i D) / (D^k k!),
+    the sum of the numerators is one integer, and its true division by
+    D^k k! is the only rounding.  Intended as the reference path; cost
+    grows with m*k, so use :func:`build_table` in bulk.
     """
     if m < 0 or k < 0:
         raise DomainError("m and k must be >= 0")
-    g = Fraction(gamma)
-    kfact = math.factorial(k)
-    total = Fraction(0)
+    num, den = float(gamma).as_integer_ratio()
+    total = 0
     for j in range(m + 1):
-        term = Fraction(math.comb(m, j), kfact)
-        x = g * j
+        term = math.comb(m, j)
         for i in range(k):
-            term *= x - i
+            term *= num * j - i * den
         total += -term if j & 1 else term
-    return float(total)
+    return total / (den**k * math.factorial(k))
 
 
 def coeff_half(m: int, k: int) -> float:

@@ -3,15 +3,16 @@
 Each law is wired here once; the functions its record points to live in
 :mod:`analytic`, :mod:`oracle` and :mod:`sampler`, which never import this.
 The series of tdl, tds, dl and ds map their parameters onto the oracle's one
-family builder here.
+family builder here; a constant derived from two parameters is a
+:class:`Decimal` product or quotient, so it is rounded at the oracle's 40
+digits, not to a double.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Callable
-
-import mpmath as mp
 
 from . import analytic, oracle, sampler
 from .errors import DomainError, IncompatibleRoute, UnknownLaw
@@ -53,10 +54,10 @@ class Law:
 
 def _tdl_series(p: TdlParams | TdsParams, order: int) -> oracle.TruncatedSeries:
     """The family series of a tdl record, or of its d = 0 member tds."""
-    beta = sgn(p.a) * mp.mpf(p.b)
+    beta = sgn(p.a) * p.b
     if p.d == 0:
         return oracle._family_series(p.a, p.c, -beta, None, order)
-    return oracle._family_series(p.a, p.c, beta * p.d, -1.0 / p.d, order)
+    return oracle._family_series(p.a, p.c, Decimal(beta) * Decimal(p.d), -1.0 / p.d, order)
 
 
 LAWS = {
@@ -65,7 +66,7 @@ LAWS = {
     "tds": Law(TdsParams, ("a", "b", "c"), analytic.tds_pgf,
                sampler._sample_tdl, _tdl_series),
     "dl": Law(LinnikParams, ("gamma", "lambda", "delta"), analytic.dl_pgf, sampler._sample_dl,
-              lambda p, k: oracle._family_series(p.gamma, 1.0, mp.mpf(p.lam) / p.delta,
+              lambda p, k: oracle._family_series(p.gamma, 1.0, Decimal(p.lam) / Decimal(p.delta),
                                                  -p.delta, k)),
     "ds": Law(StableParams, ("gamma", "lambda"), analytic.ds_pgf, sampler._sample_ds,
               lambda p, k: oracle._family_series(p.gamma, 1.0, -p.lam, None, k)),
@@ -115,15 +116,15 @@ def series_pmf(law: str, params, order: int) -> analytic.PmfTable:
     """Ground-truth PMF of an integer law from its p.g.f. Taylor coefficients.
 
     Independent of the finite-sum coefficient formulas; computed in
-    extended precision and rounded to double on return: the builder runs at
-    ``oracle.ORACLE_DPS`` significant digits, set here for the whole
-    expansion.  ``order`` is capped at 200.  A d == 0 TDL record gives the
+    decimal arithmetic and rounded to double on return: the builder runs at
+    ``oracle.ORACLE_DPS`` significant digits, set here once for the whole
+    expansion by :func:`oracle.precision_scope`.  ``order`` is capped at 200.  A d == 0 TDL record gives the
     table of its tds law.
     """
     if not 0 <= order <= oracle.MAX_SERIES_ORDER:
         raise DomainError(f"order must lie in [0, {oracle.MAX_SERIES_ORDER}], got {order}")
     series = _lookup(law, params, "series expansion", count=True).series
-    with mp.workdps(oracle.ORACLE_DPS):
+    with oracle.precision_scope():
         raw = series(params, order).to_floats()
     return analytic._finalize_pmf(law, params, raw)
 

@@ -2,28 +2,32 @@
 
 Two oracles live here:
 
-* truncated power series in extended precision (mpmath), used to extract
-  PMF values directly as Taylor coefficients of the generating functions.
-  ``series_pmf`` in :mod:`laws` picks each count law's builder and runs it
-  at ``ORACLE_DPS`` (40) significant digits; the builders here set no
-  precision of their own.  One family builder, :func:`_family_series`,
-  serves tdl, tds, dl and ds, whose p.g.f.s all read
-  outer(beta ((1-cs)^a - (1-c)^a)).  This path shares nothing with the
-  finite-sum evaluation it checks: powers and exponentials of series are
-  expanded by the classical coefficient recurrences (J.C.P. Miller), so
-  it is strictly more accurate than the production double-precision path.
+* truncated power series in 40-digit decimal arithmetic (the standard
+  library's :mod:`decimal`), used to extract PMF values directly as Taylor
+  coefficients of the generating functions.  ``series_pmf`` in :mod:`laws`
+  picks each count law's builder and runs it inside one
+  :func:`precision_scope`, at ``ORACLE_DPS`` (40) significant digits with
+  an unbounded exponent range; the builders here set no precision of
+  their own.  One family builder, :func:`_family_series`, serves tdl, tds,
+  dl and ds, whose p.g.f.s all read outer(beta ((1-cs)^a - (1-c)^a)).
+  This path shares nothing with the finite-sum evaluation it checks:
+  powers and exponentials of series are expanded by the classical
+  coefficient recurrences (J.C.P. Miller), so it is strictly more accurate
+  than the production double-precision path.
 * Monte-Carlo utilities: a pooled-bin chi-square goodness-of-fit report
-  (its upper tail is mpmath's regularized incomplete gamma) and the
-  empirical probability generating function with its standard error.
+  (its upper tail is a double-precision regularized incomplete gamma) and
+  the empirical probability generating function with its standard error.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Union
 
-import mpmath as mp
 import numpy as np
 
 from .analytic import PmfTable
@@ -45,16 +49,40 @@ MAX_SERIES_ORDER = 200
 OuterTag = Union[str, tuple]
 
 
+def _context(digits: int) -> decimal.Context:
+    return decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def precision_scope():
+    """Run the enclosed :class:`Decimal` arithmetic at ``ORACLE_DPS`` digits,
+    whatever the ambient decimal context."""
+    return decimal.localcontext(_context(ORACLE_DPS))
+
+
+def _dot(xs, ys) -> Decimal:
+    """sum x_i y_i with exact products, rounded far below ``ORACLE_DPS``.
+
+    Products of two ``ORACLE_DPS``-digit operands have at most twice as
+    many digits, so at 2 ORACLE_DPS + 10 digits they are exact and the sum
+    carries ten guard digits beyond them.
+    """
+    with decimal.localcontext(_context(2 * ORACLE_DPS + 10)):
+        return sum(map(operator.mul, xs, ys))
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Coefficients c[0..K] of a power series truncated at order K.
 
-    Coefficients are mpmath floats; arithmetic on two series carries the
-    smaller truncation order and runs at ``ORACLE_DPS``, whatever mpmath's
-    ambient precision.
+    Coefficients are :class:`Decimal` (ints and floats convert exactly);
+    arithmetic on two series carries the smaller truncation order and runs
+    at ``ORACLE_DPS``, whatever the ambient decimal context.
     """
 
     coeffs: tuple
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", tuple(map(Decimal, self.coeffs)))
 
     @property
     def order(self) -> int:
@@ -62,23 +90,24 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         k = min(self.order, other.order)
-        with mp.workdps(ORACLE_DPS):
+        with precision_scope():
             return TruncatedSeries(
                 tuple(a + b for a, b in zip(self.coeffs[: k + 1], other.coeffs[: k + 1]))
             )
 
     def scaled(self, factor) -> "TruncatedSeries":
-        with mp.workdps(ORACLE_DPS):
-            f = mp.mpf(factor)
+        with precision_scope():
+            f = Decimal(factor)
             return TruncatedSeries(tuple(f * c for c in self.coeffs))
 
     def shifted_constant(self, constant) -> "TruncatedSeries":
         """Add a constant to the series (affects only the 0th coefficient)."""
-        with mp.workdps(ORACLE_DPS):
-            c0 = self.coeffs[0] + mp.mpf(constant)
+        with precision_scope():
+            c0 = self.coeffs[0] + Decimal(constant)
         return TruncatedSeries((c0,) + self.coeffs[1:])
 
     def to_floats(self) -> np.ndarray:
+        """The coefficients, each correctly rounded to a double."""
         return np.array([float(c) for c in self.coeffs])
 
 
@@ -88,9 +117,9 @@ def series_binomial_power(c: float, a: float, order: int) -> TruncatedSeries:
         raise DomainError(f"|c| must be <= 1, got {c}")
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
-    with mp.workdps(ORACLE_DPS):
-        ncm, am = -mp.mpf(c), mp.mpf(a)
-        out = [mp.mpf(1)]
+    with precision_scope():
+        ncm, am = Decimal(-c), Decimal(a)
+        out = [Decimal(1)]
         for k in range(order):
             out.append(out[-1] * ncm * (am - k) / (k + 1))
     return TruncatedSeries(tuple(out))
@@ -107,17 +136,17 @@ def series_compose_outer(inner: TruncatedSeries, outer: OuterTag) -> TruncatedSe
     """
     order = inner.order
     a = inner.coeffs
-    with mp.workdps(ORACLE_DPS):
-        # each inner sum is one mp.fdot (exact products, rounded once) over
-        # precomputed lists; the b lists are kept reversed, b_rev[i] = b_{n-1-i}
+    with precision_scope():
+        # each inner sum is one _dot over precomputed lists; the b lists
+        # are kept reversed, b_rev[i] = b_{n-1-i}
         if outer == "exp":
             ja = [j * a[j] for j in range(order + 1)]
-            b_rev = [mp.e ** a[0]]
+            b_rev = [a[0].exp()]
             for n in range(1, order + 1):
-                b_rev.insert(0, mp.fdot(ja[1 : n + 1], b_rev) / n)
+                b_rev.insert(0, _dot(ja[1 : n + 1], b_rev) / n)
             return TruncatedSeries(tuple(reversed(b_rev)))
         if isinstance(outer, tuple) and len(outer) == 2 and outer[0] == "power":
-            p = mp.mpf(outer[1])
+            p = Decimal(outer[1])
             if a[0] <= 0:
                 raise SingularComposition(
                     f"power composition needs a positive constant term, got {a[0]}"
@@ -125,9 +154,9 @@ def series_compose_outer(inner: TruncatedSeries, outer: OuterTag) -> TruncatedSe
             # (j(p+1) - n) a_j b_{n-j} = (p j a_j) b_{n-j} + a_j (-(n-j) b_{n-j})
             pja = tuple(p * j * a[j] for j in range(order + 1))
             b_rev = [a[0] ** p]
-            neg_kb_rev = [mp.mpf(0)]  # -k b_k, reversed like b_rev
+            neg_kb_rev = [Decimal(0)]  # -k b_k, reversed like b_rev
             for n in range(1, order + 1):
-                acc = mp.fdot(pja[1 : n + 1] + a[1 : n + 1], b_rev + neg_kb_rev)
+                acc = _dot(pja[1 : n + 1] + a[1 : n + 1], b_rev + neg_kb_rev)
                 bn = acc / (n * a[0])
                 b_rev.insert(0, bn)
                 neg_kb_rev.insert(0, -n * bn)
@@ -143,7 +172,7 @@ def _family_series(a: float, c: float, beta, power: float | None, order: int) ->
     1 at c = 0, and c = 1 (a > 0) gives the discrete stable and Linnik laws.
     """
     inner = series_binomial_power(c, a, order)
-    u = inner.shifted_constant(-(1 - mp.mpf(c)) ** a).scaled(beta)
+    u = inner.shifted_constant(-(1 - Decimal(c)) ** Decimal(a)).scaled(beta)
     if power is None:
         return series_compose_outer(u, "exp")
     return series_compose_outer(u.shifted_constant(1), ("power", power))
@@ -151,7 +180,7 @@ def _family_series(a: float, c: float, beta, power: float | None, order: int) ->
 
 def _nb_series(p: NegativeBinomialParams, order: int) -> TruncatedSeries:
     inner = series_binomial_power(p.pi, -p.delta, order)
-    return inner.scaled((1 - mp.mpf(p.pi)) ** p.delta)
+    return inner.scaled((1 - Decimal(p.pi)) ** Decimal(p.delta))
 
 
 def _sibuya_series(p: SibuyaParams, order: int) -> TruncatedSeries:
@@ -161,12 +190,12 @@ def _sibuya_series(p: SibuyaParams, order: int) -> TruncatedSeries:
 
 def _gds_series(p: GdsSibuyaParams, order: int) -> TruncatedSeries:
     inner = series_binomial_power(p.tau, p.gamma, order)
-    return inner.scaled(-1).shifted_constant(1 + (1 - mp.mpf(p.tau)) ** p.gamma)
+    return inner.scaled(-1).shifted_constant(1 + (1 - Decimal(p.tau)) ** Decimal(p.gamma))
 
 
 def _poisson_series(p: PoissonParams, order: int) -> TruncatedSeries:
-    lam = mp.mpf(p.lam)
-    coeffs = [mp.e**-lam]
+    lam = Decimal(p.lam)
+    coeffs = [Decimal(-p.lam).exp()]
     for k in range(order):
         coeffs.append(coeffs[-1] * lam / (k + 1))
     return TruncatedSeries(tuple(coeffs))
@@ -222,8 +251,44 @@ def _pool_bins(expected: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _chi2_sf(x: float, dof: int) -> float:
-    """Upper chi-square tail P(X > x): the regularized upper incomplete gamma."""
-    return float(mp.gammainc(dof / 2, x / 2, regularized=True))
+    """Upper chi-square tail P(X > x): the regularized upper incomplete gamma
+    Q(s, t) at s = dof/2, t = x/2, in double precision.
+
+    Below t = s + 1 it is 1 - P(s, t) with P from its power series
+    t^s e^-t / Gamma(s+1) sum_n t^n / ((s+1)...(s+n)); above, Q comes from
+    its continued fraction, evaluated by the modified Lentz method
+    (Numerical Recipes, 3rd ed., section 6.2).
+    """
+    s, t = dof / 2, x / 2
+    if not t > 0:
+        return 1.0
+    front = math.exp(s * math.log(t) - t - math.lgamma(s))  # t^s e^-t / Gamma(s)
+    eps = 2.0**-53
+    if t < s + 1:
+        term = total = 1.0 / s
+        n = s
+        while term > total * eps:
+            n += 1
+            term *= t / n
+            total += term
+        return max(0.0, 1.0 - front * total)
+    tiny = 1e-300  # stands in for a zero denominator
+    b = t + 1 - s
+    c, d = 1 / tiny, 1 / b
+    h = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - s)
+        b += 2
+        d = an * d + b
+        d = 1 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        step = d * c
+        h *= step
+        if abs(step - 1) <= eps:
+            return front * h
 
 
 def chi_square_gof(samples: SampleBatch, pmf: PmfTable) -> GofReport:

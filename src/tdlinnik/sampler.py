@@ -291,7 +291,9 @@ def _kanter_vec(gen: np.random.Generator, gamma: float, lam, n: int) -> np.ndarr
     A(u) = [sin(gamma pi u)^gamma sin((1-gamma) pi u)^(1-gamma)
             / sin(pi u)]^(1/(1-gamma)),
     evaluated in log space; u is kept inside (0, pi] so the sines never
-    vanish exactly.  lam may be an array for mixture draws.
+    vanish exactly.  lam may be an array for mixture draws.  A draw that
+    overflows double precision (an inf, or a nan from 0 * inf when
+    lam^(1/gamma) underflows) raises :class:`HeavyTailOverflow`.
     """
     u = (1.0 - gen.random(n)) * np.pi
     e = gen.standard_exponential(n)
@@ -300,8 +302,14 @@ def _kanter_vec(gen: np.random.Generator, gamma: float, lam, n: int) -> np.ndarr
         + (1.0 - gamma) * np.log(np.sin((1.0 - gamma) * u))
         - np.log(np.sin(u))
     )
-    x = np.exp(bracket / gamma - (1.0 - gamma) / gamma * np.log(e))
-    return np.asarray(lam) ** (1.0 / gamma) * x
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.exp(bracket / gamma - (1.0 - gamma) / gamma * np.log(e))
+        x = np.asarray(lam) ** (1.0 / gamma) * x
+    if not np.isfinite(x).all():
+        raise HeavyTailOverflow(
+            f"positive stable draw overflowed double precision (gamma = {gamma:g})"
+        )
+    return x
 
 
 def _ps_vec(gen: np.random.Generator, gamma: float, lam, n: int) -> np.ndarray:

@@ -406,6 +406,14 @@ class TestPanjer:
             ) * mp.mpf(2) ** -k
         assert table.p[k] == pytest.approx(float(want), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("a, b, c", [(-2.6, 0.245, 0.9999998), (-1.54, 34582.0, 0.99998)])
+    def test_mean_far_past_kmax_gives_an_all_zero_table(self, a, b, c):
+        # means 8.3e23 and beyond: log2 P(0) lies outside int32, and no
+        # entry up to kmax reaches the double range
+        table = build_pmf_table(TdlParams(a, b, c, 0.0), 400)
+        assert not table.p.any()
+        assert table.tail_mass == 1.0
+
     @pytest.mark.parametrize("b, c, d", [(2.0, 0.9, 1.0), (1.5, 0.95, 4.0), (3.0, 0.8, 0.25)])
     def test_matches_the_exact_geometric_compound_past_order_200(self, b, c, d):
         # at a = -1 the law is an NB(1/d, q/(1+q)) number N of geometric

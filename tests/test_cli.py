@@ -20,6 +20,14 @@ def invoke(runner, *args):
     return runner.invoke(main, list(args), catch_exceptions=False)
 
 
+def run_python(*args, check=True):
+    """A fresh interpreter on the source tree; stdout and stderr kept apart."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=check
+    )
+
+
 class TestPmfCommand:
     def test_geometric_csv(self, runner):
         res = invoke(
@@ -52,6 +60,15 @@ class TestPmfCommand:
         assert set(payload) == {"law", "params", "kmax", "p", "tail_mass"}
         assert payload["kmax"] == 4
         assert len(payload["p"]) == 5
+
+    @pytest.mark.parametrize("a, b, c", [
+        ("-2.6", "0.245", "0.9999998"), ("-1.54", "34582", "0.99998"),
+    ])
+    def test_mean_far_past_kmax_prints_the_all_zero_table(self, runner, a, b, c):
+        res = invoke(runner, "pmf", "-a", a, "-b", b, "-c", c, "-d", "0", "--kmax", "400")
+        assert res.exit_code == 0
+        lines = res.output.splitlines()
+        assert lines[-2:] == ["400,0.0,0.0", "tail,1.0,1.0"]
 
     def test_domain_error_exit_code(self, runner):
         res = runner.invoke(
@@ -151,6 +168,18 @@ class TestSampleCommand:
         assert res.exit_code == 0, res.output
         assert len(res.output.split()) == 1000
         assert runner.invoke(main, [*args, "--route", "a"]).exit_code == 4
+
+    @pytest.mark.parametrize("a, b, d", [
+        ("0.001", "0.0062", "0.00034"), ("0.001", "0.00034", "0"),
+    ])
+    def test_overflowing_stable_draw_exits_4_with_one_error_line(self, a, b, d):
+        out = run_python("-m", "tdlinnik", "sample", "--law", "tdl", "-a", a, "-b", b,
+                         "-c", "1", "-d", d, "-n", "1000", "--seed", "1", check=False)
+        assert out.returncode == 4
+        assert out.stdout == ""
+        assert out.stderr == (
+            "error: positive stable draw overflowed double precision (gamma = 0.001)\n"
+        )
 
     def test_route_a_out_of_budget_is_refused_up_front(self, runner):
         # exp(20 * 0.9^0.5 * (1/0.9 - 1)^0.5) = 5.6e2 expected tries per draw
@@ -319,13 +348,16 @@ class TestStartup:
         assert res.output.split()[-1] == "0.1.0"
 
     def test_import_does_not_load_scipy(self):
-        src = Path(__file__).resolve().parent.parent / "src"
         code = (
             "import sys, tdlinnik, tdlinnik.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        env = dict(os.environ, PYTHONPATH=str(src))
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        assert run_python("-c", code).stdout.strip() == "[]"
+
+    def test_import_loads_neither_mpmath_nor_fractions(self):
+        # the 40-digit oracle runs on decimal, coeff_c on integers
+        code = (
+            "import sys, tdlinnik.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('mpmath', 'fractions')))"
         )
-        assert out.stdout.strip() == "[]"
+        assert run_python("-c", code).stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +74,19 @@ class TestDirectSum:
             for k in range(5):
                 for m in range(k + 1, k + 4):
                     assert coeff_c(gamma, m, k) == pytest.approx(0.0, abs=1e-300)
+
+    @pytest.mark.parametrize("gamma", [0.5, -1.0, 0.3, -1.7, 1e-3])
+    def test_equals_the_rounded_rational_sum(self, gamma):
+        # the defining sum in Fraction arithmetic, rounded once: the integer
+        # evaluation must give the same double, not merely a close one
+        g = Fraction(gamma)
+        for k in range(0, 25, 3):
+            for m in range(k + 3):
+                want = sum(
+                    (-1) ** j * math.comb(m, j) * math.prod(g * j - i for i in range(k))
+                    for j in range(m + 1)
+                ) / math.factorial(k)
+                assert coeff_c(gamma, m, k) == float(want), (m, k)
 
     def test_diagonal_closed_form(self):
         for gamma in (0.3, 0.5, -0.5, -2.0):

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import mpmath as mp
 import numpy as np
@@ -65,14 +67,14 @@ class TestSeriesBasics:
 
     def test_helpers_work_at_oracle_precision(self):
         # called at an ambient 15 digits, the helpers still keep a 40-digit
-        # operand to 40 digits: 1/3 rounded to 53 bits would be off by
-        # 5.6e-17 relative
+        # operand to 40 digits: 1/3 rounded to 15 digits would be off by
+        # 1e-15 relative
         s = series_binomial_power(0.5, 0.5, 3)  # 1, -1/4, -1/32, -1/128
-        with mp.workdps(ORACLE_DPS):
-            third = mp.mpf(1) / 3
+        with decimal.localcontext(decimal.Context(prec=ORACLE_DPS)):
+            third = Decimal(1) / 3
             want_scaled, want_shifted, want_sum = -third / 4, 1 + third, 2 * third
         one_third = TruncatedSeries((third,))
-        with mp.workdps(15):
+        with decimal.localcontext(decimal.Context(prec=15)):
             assert abs(s.scaled(third).coeffs[1] - want_scaled) < 1e-35
             assert abs(s.shifted_constant(third).coeffs[0] - want_shifted) < 1e-35
             assert abs((one_third + one_third).coeffs[0] - want_sum) < 1e-35
@@ -107,26 +109,63 @@ class TestComposeOuter:
     @pytest.mark.parametrize("outer", ["exp", ("power", -1.0 / 0.3), ("power", 2.5)])
     def test_matches_naive_miller_loop_at_order_60(self, outer):
         inner = series_binomial_power(0.95, -1.5, 60)
-        with mp.workdps(ORACLE_DPS):
-            u = inner.scaled(-0.3).shifted_constant(1 + 0.3 * mp.mpf(0.05) ** -1.5)
+        with decimal.localcontext(decimal.Context(prec=ORACLE_DPS)):
+            c0 = 1 + Decimal(0.3) * Decimal(0.05) ** Decimal(-1.5)
+            u = inner.scaled(-0.3).shifted_constant(c0)
             a = u.coeffs
             if outer == "exp":
-                b = [mp.e ** a[0]]
+                b = [a[0].exp()]
                 for n in range(1, 61):
-                    acc = mp.mpf(0)
+                    acc = Decimal(0)
                     for j in range(1, n + 1):
                         acc += j * a[j] * b[n - j]
                     b.append(acc / n)
             else:
-                p = mp.mpf(outer[1])
+                p = Decimal(outer[1])
                 b = [a[0] ** p]
                 for n in range(1, 61):
-                    acc = mp.mpf(0)
+                    acc = Decimal(0)
                     for j in range(1, n + 1):
                         acc += (j * (p + 1) - n) * a[j] * b[n - j]
                     b.append(acc / (n * a[0]))
             got = series_compose_outer(u, outer).coeffs
+            assert max(abs(x - y) / abs(y) for x, y in zip(got, b)) <= Decimal("1e-35")
+
+    @pytest.mark.parametrize("order", [60, 200])
+    @pytest.mark.parametrize("outer", ["exp", ("power", -1.0 / 0.3), ("power", 2.5)])
+    def test_matches_an_mpmath_miller_recurrence(self, outer, order):
+        # the same expansion in a second arbitrary-precision engine (binary
+        # mpmath at 40 digits, inner sums by mp.fdot), built from the floats
+        with mp.workdps(ORACLE_DPS):
+            a = [mp.mpf(1)]
+            for k in range(order):
+                a.append(a[-1] * -mp.mpf(0.95) * (mp.mpf(-1.5) - k) / (k + 1))
+            a = [-0.3 * x for x in a]
+            a[0] += 1 + 0.3 * mp.mpf(0.05) ** -1.5
+            if outer == "exp":
+                b = [mp.e ** a[0]]
+                for n in range(1, order + 1):
+                    b.append(mp.fdot([j * a[j] for j in range(1, n + 1)], b[::-1]) / n)
+            else:
+                p = mp.mpf(outer[1])
+                b = [a[0] ** p]
+                for n in range(1, order + 1):
+                    terms = [(j * (p + 1) - n) * a[j] for j in range(1, n + 1)]
+                    b.append(mp.fdot(terms, b[::-1]) / (n * a[0]))
+        with decimal.localcontext(decimal.Context(prec=ORACLE_DPS)):
+            c0 = 1 + Decimal(0.3) * Decimal(0.05) ** Decimal(-1.5)
+        u = series_binomial_power(0.95, -1.5, order).scaled(-0.3).shifted_constant(c0)
+        got = series_compose_outer(u, outer).coeffs
+        with mp.workdps(ORACLE_DPS):
+            got = [mp.mpf(str(x)) for x in got]
             assert max(abs(x - y) / abs(y) for x, y in zip(got, b)) <= mp.mpf("1e-35")
+
+    def test_inner_sums_have_exact_products(self):
+        # (1 + 1e-39)^2 - (1 + 2e-39) = 1e-78 exactly; products rounded to
+        # 40 digits would cancel to 0
+        with decimal.localcontext(decimal.Context(prec=ORACLE_DPS)):
+            x, y = 1 + Decimal("1e-39"), 1 + Decimal("2e-39")
+            assert oracle._dot([x, -1], [x, y]) == Decimal("1e-78")
 
     def test_singular_constant_term(self):
         inner = TruncatedSeries((0.0, 1.0, 0.5))
@@ -268,7 +307,8 @@ class TestChiSquareGof:
 
 
 class TestChiSquareTail:
-    """The p-value tail is mpmath's regularized upper incomplete gamma."""
+    """The p-value tail is the regularized upper incomplete gamma Q(dof/2, x/2)
+    in double precision, checked against closed forms and mpmath's."""
 
     XS = [0.0] + list(np.geomspace(1e-6, 200.0, 80))
 
@@ -286,6 +326,15 @@ class TestChiSquareTail:
     def test_zero_statistic_is_exactly_one(self):
         for dof in range(1, 50):
             assert _chi2_sf(0.0, dof) == 1.0
+
+    @pytest.mark.parametrize("dof", [*range(1, 61), 99, 100, 199, 400, 1001])
+    def test_matches_mpmath_gammainc(self, dof):
+        # both sides of the series / continued-fraction switch at x = dof + 2
+        near = [dof * (1 - 1e-3), dof - 1, dof, dof + 1, dof + 2, dof + 2.5, dof * (1 + 1e-3)]
+        for x in [*np.geomspace(1e-6, 3000.0, 60), *(v for v in near if v > 0)]:
+            want = float(mp.gammainc(dof / 2, x / 2, regularized=True))
+            if want >= 1e-300:
+                assert _chi2_sf(x, dof) == pytest.approx(want, rel=1e-12, abs=0), x
 
 
 class TestEmpiricalPgf:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,17 @@ class TestTemperedPositiveStable:
 
 
 class TestTdlRoutes:
+    @pytest.mark.parametrize("params", [
+        TdlParams(0.001, 0.0062, 1.0, 0.00034), TdlParams(0.001, 0.00034, 1.0, 0.0),
+    ])
+    def test_overflowing_stable_draw_is_a_typed_error(self, params):
+        # lam^(1/a) underflows and the Kanter factor overflows: 0 * inf;
+        # the error comes without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HeavyTailOverflow, match="overflowed double precision"):
+                sample_batch("tdl", params, 1000, seed=1)
+
     def test_degenerate_always_zero(self):
         for route in ("a", "b", "c", "d"):
             p = TdlParams(0.0, 1.0, 0.5, 1.0)
