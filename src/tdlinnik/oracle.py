@@ -34,6 +34,7 @@ from .analytic import PmfTable
 from .errors import (
     DomainError,
     InsufficientSample,
+    NumericalInstability,
     SingularComposition,
     UnsupportedOuterFunction,
 )
@@ -260,10 +261,14 @@ def _chi2_sf(x: float, dof: int) -> float:
     (Numerical Recipes, 3rd ed., section 6.2).
     """
     s, t = dof / 2, x / 2
-    if not t > 0:
+    if math.isnan(t):
+        return math.nan
+    if t <= 0:
         return 1.0
+    if t == math.inf:
+        return 0.0
     front = math.exp(s * math.log(t) - t - math.lgamma(s))  # t^s e^-t / Gamma(s)
-    eps = 2.0**-53
+    eps = 2.0**-52
     if t < s + 1:
         term = total = 1.0 / s
         n = s
@@ -276,9 +281,7 @@ def _chi2_sf(x: float, dof: int) -> float:
     b = t + 1 - s
     c, d = 1 / tiny, 1 / b
     h = d
-    i = 0
-    while True:
-        i += 1
+    for i in range(1, 300 + 10 * math.isqrt(int(s) + 1)):
         an = -i * (i - s)
         b += 2
         d = an * d + b
@@ -289,6 +292,7 @@ def _chi2_sf(x: float, dof: int) -> float:
         h *= step
         if abs(step - 1) <= eps:
             return front * h
+    raise NumericalInstability(f"chi-square tail did not converge at x = {x!r}, dof = {dof}")
 
 
 def chi_square_gof(samples: SampleBatch, pmf: PmfTable) -> GofReport:

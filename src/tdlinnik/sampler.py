@@ -291,9 +291,9 @@ def _kanter_vec(gen: np.random.Generator, gamma: float, lam, n: int) -> np.ndarr
     A(u) = [sin(gamma pi u)^gamma sin((1-gamma) pi u)^(1-gamma)
             / sin(pi u)]^(1/(1-gamma)),
     evaluated in log space; u is kept inside (0, pi] so the sines never
-    vanish exactly.  lam may be an array for mixture draws.  A draw that
-    overflows double precision (an inf, or a nan from 0 * inf when
-    lam^(1/gamma) underflows) raises :class:`HeavyTailOverflow`.
+    vanish exactly.  lam may be an array for mixture draws.  A draw beyond
+    double precision comes back as inf, or as nan (0 * inf) where
+    lam^(1/gamma) underflows; the callers decide what that means.
     """
     u = (1.0 - gen.random(n)) * np.pi
     e = gen.standard_exponential(n)
@@ -304,19 +304,25 @@ def _kanter_vec(gen: np.random.Generator, gamma: float, lam, n: int) -> np.ndarr
     )
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.exp(bracket / gamma - (1.0 - gamma) / gamma * np.log(e))
-        x = np.asarray(lam) ** (1.0 / gamma) * x
-    if not np.isfinite(x).all():
-        raise HeavyTailOverflow(
-            f"positive stable draw overflowed double precision (gamma = {gamma:g})"
-        )
-    return x
+        return np.asarray(lam) ** (1.0 / gamma) * x
+
+
+def _overflowed(gamma: float) -> HeavyTailOverflow:
+    return HeavyTailOverflow(
+        f"positive stable draw overflowed double precision (gamma = {gamma:g})"
+    )
 
 
 def _ps_vec(gen: np.random.Generator, gamma: float, lam, n: int) -> np.ndarray:
+    """PS(gamma, lam) draws; a draw beyond double precision raises
+    :class:`HeavyTailOverflow`."""
     if gamma == 1.0:
         # Laplace transform exp(-lam t): point mass at lam
         return np.broadcast_to(np.asarray(lam, dtype=float), (n,)).copy()
-    return _kanter_vec(gen, gamma, lam, n)
+    x = _kanter_vec(gen, gamma, lam, n)
+    if not np.isfinite(x).all():
+        raise _overflowed(gamma)
+    return x
 
 
 def _tps_vec(
@@ -355,7 +361,10 @@ def _tps_vec(
                 f"(acceptance rate exp(-lam theta^gamma) too small)"
             )
         x = _kanter_vec(gen, gamma, lam[active], active.size)
-        accept = gen.random(active.size) <= np.exp(-theta * x)
+        if np.isnan(x).any():
+            raise _overflowed(gamma)
+        # an inf proposal is accepted with probability exp(-theta inf) = 0
+        accept = (gen.random(active.size) <= np.exp(-theta * x)) & (x < np.inf)
         out[active[accept]] = x[accept]
         active = active[~accept]
     return out

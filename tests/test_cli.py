@@ -181,6 +181,12 @@ class TestSampleCommand:
             "error: positive stable draw overflowed double precision (gamma = 0.001)\n"
         )
 
+    def test_small_gamma_route_a_samples(self, runner):
+        res = runner.invoke(main, ["sample", "--law", "tdl", "-a", "0.01", "-b", "1", "-c", "0.5",
+                                   "-d", "0", "--route", "a", "-n", "10000", "--seed", "1"])
+        assert res.exit_code == 0, res.output
+        assert len(res.output.split()) == 10000
+
     def test_route_a_out_of_budget_is_refused_up_front(self, runner):
         # exp(20 * 0.9^0.5 * (1/0.9 - 1)^0.5) = 5.6e2 expected tries per draw
         res = runner.invoke(main, [

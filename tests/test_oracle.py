@@ -327,6 +327,10 @@ class TestChiSquareTail:
         for dof in range(1, 50):
             assert _chi2_sf(0.0, dof) == 1.0
 
+    def test_non_finite_statistics(self):
+        assert _chi2_sf(math.inf, 3) == 0.0
+        assert math.isnan(_chi2_sf(math.nan, 3))
+
     @pytest.mark.parametrize("dof", [*range(1, 61), 99, 100, 199, 400, 1001])
     def test_matches_mpmath_gammainc(self, dof):
         # both sides of the series / continued-fraction switch at x = dof + 2

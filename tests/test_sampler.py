@@ -342,6 +342,17 @@ class TestTdlRoutes:
             with pytest.raises(HeavyTailOverflow, match="overflowed double precision"):
                 sample_batch("tdl", params, 1000, seed=1)
 
+    def test_small_gamma_tempering_rejects_overflowing_proposals(self):
+        # at gamma = 0.01 about 8e-4 of Kanter proposals overflow to inf; their
+        # acceptance probability exp(-theta inf) is 0, so they are redrawn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = sample_batch("tps", TemperedStableParams(0.01, 1.0, 1.0), 10**4, seed=1).values
+            k = sample_batch("tdl", TdlParams(0.01, 1.0, 0.5, 0.0), 10**4, seed=1,
+                             route="a").values
+        assert np.isfinite(x).all() and (x >= 0).all()
+        assert (k >= 0).all()
+
     def test_degenerate_always_zero(self):
         for route in ("a", "b", "c", "d"):
             p = TdlParams(0.0, 1.0, 0.5, 1.0)
