@@ -15,7 +15,7 @@ import sys
 import click
 import numpy as np
 
-from . import __version__, analytic, moments as moments_mod, sampler, selfcheck
+from . import __version__, analytic, moments as moments_mod, oracle, sampler, selfcheck
 from .errors import (
     DegenerateDistribution,
     DomainError,
@@ -131,6 +131,11 @@ def cmd_pmf(law, kmax, use_oracle, fmt, out, **flags):
     if law in ("tdl", "tds") and not use_oracle:
         table = analytic.build_pmf_table(params, kmax)
     else:
+        if not 0 <= kmax <= oracle.MAX_SERIES_ORDER:
+            raise DomainError(
+                f"--kmax must lie in [0, {oracle.MAX_SERIES_ORDER}] on the series path "
+                f"(--oracle, or any law but tdl and tds), got {kmax}"
+            )
         table = series_pmf(law, params, kmax)
     stream = _open_out(out)
     if fmt == "csv":

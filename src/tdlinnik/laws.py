@@ -2,10 +2,11 @@
 
 Each law is wired here once; the functions its record points to live in
 :mod:`analytic`, :mod:`oracle` and :mod:`sampler`, which never import this.
-The series of tdl, tds, dl and ds map their parameters onto the oracle's one
-family builder here; a constant derived from two parameters is a
-:class:`Decimal` product or quotient, so it is rounded at the oracle's 40
-digits, not to a double.
+Each count law records its coordinates (a, c, beta, power) in the p.g.f.
+family outer(beta ((1-cs)^a - (1-c)^a)) once, and the oracle's one family
+builder expands them.  A coordinate derived from parameters is a
+:class:`Decimal` expression, evaluated inside the oracle's precision scope,
+so it is rounded at the oracle's 40 digits, not to a double.
 """
 
 from __future__ import annotations
@@ -37,39 +38,41 @@ class Law:
     """A law's params class, the CLI flags that fill it in field order, and
     its functions.  ``transform(params, x)`` is the p.g.f. at s in [0, 1]
     of a count law, or the Laplace transform at t > 0 of a positive law;
-    ``sample(gen, params, n, route, max_tries)`` draws n variates; the
-    oracle's ``series(params, order)`` exists exactly for the count laws.
+    ``sample(gen, params, n, route, max_tries)`` draws n variates.  Exactly
+    the count laws have ``family(params) -> (a, c, beta, power)``, their
+    coordinates in the p.g.f. family outer(beta ((1-cs)^a - (1-c)^a)), with
+    outer x^power, or exp where ``power`` is None; the closed-form
+    ``transform`` is the independent check on them.
     """
 
     params: type
     flags: tuple
     transform: Callable
     sample: Callable
-    series: Callable | None = None
+    family: Callable | None = None
 
     @property
     def is_count(self) -> bool:
-        return self.series is not None
+        return self.family is not None
 
 
-def _tdl_series(p: TdlParams | TdsParams, order: int) -> oracle.TruncatedSeries:
-    """The family series of a tdl record, or of its d = 0 member tds."""
+def _tdl_family(p: TdlParams | TdsParams) -> tuple:
+    """The family coordinates of a tdl record, or of its d = 0 member tds."""
     beta = sgn(p.a) * p.b
     if p.d == 0:
-        return oracle._family_series(p.a, p.c, -beta, None, order)
-    return oracle._family_series(p.a, p.c, Decimal(beta) * Decimal(p.d), -1.0 / p.d, order)
+        return p.a, p.c, -beta, None
+    return p.a, p.c, Decimal(beta) * Decimal(p.d), Decimal(-1) / Decimal(p.d)
 
 
 LAWS = {
     "tdl": Law(TdlParams, ("a", "b", "c", "d"), analytic.tdl_pgf,
-               sampler._sample_tdl, _tdl_series),
+               sampler._sample_tdl, _tdl_family),
     "tds": Law(TdsParams, ("a", "b", "c"), analytic.tds_pgf,
-               sampler._sample_tdl, _tdl_series),
+               sampler._sample_tdl, _tdl_family),
     "dl": Law(LinnikParams, ("gamma", "lambda", "delta"), analytic.dl_pgf, sampler._sample_dl,
-              lambda p, k: oracle._family_series(p.gamma, 1.0, Decimal(p.lam) / Decimal(p.delta),
-                                                 -p.delta, k)),
+              lambda p: (p.gamma, 1, Decimal(p.lam) / Decimal(p.delta), -p.delta)),
     "ds": Law(StableParams, ("gamma", "lambda"), analytic.ds_pgf, sampler._sample_ds,
-              lambda p, k: oracle._family_series(p.gamma, 1.0, -p.lam, None, k)),
+              lambda p: (p.gamma, 1, -p.lam, None)),
     "ps": Law(StableParams, ("gamma", "lambda"), analytic.ps_laplace, sampler._sample_ps),
     "tps": Law(TemperedStableParams, ("gamma", "lambda", "theta"), analytic.tps_laplace,
                sampler._sample_tps),
@@ -77,14 +80,14 @@ LAWS = {
               sampler._sample_pl),
     "tpl": Law(TemperedLinnikParams, ("gamma", "lambda", "theta", "delta"),
                analytic.tpl_laplace, sampler._sample_tpl),
-    "nb": Law(NegativeBinomialParams, ("pi", "delta"), analytic.nb_pgf,
-              sampler._sample_nb, oracle._nb_series),
-    "sibuya": Law(SibuyaParams, ("gamma",), analytic.sibuya_pgf,
-                  sampler._sample_sibuya, oracle._sibuya_series),
-    "gds": Law(GdsSibuyaParams, ("gamma", "tau"), analytic.gds_pgf,
-               sampler._sample_gds, oracle._gds_series),
-    "poisson": Law(PoissonParams, ("lambda",), analytic.poisson_pgf,
-                   sampler._sample_poisson, oracle._poisson_series),
+    "nb": Law(NegativeBinomialParams, ("pi", "delta"), analytic.nb_pgf, sampler._sample_nb,
+              lambda p: (1, p.pi, 1 / (1 - Decimal(p.pi)), -p.delta)),
+    "sibuya": Law(SibuyaParams, ("gamma",), analytic.sibuya_pgf, sampler._sample_sibuya,
+                  lambda p: (p.gamma, 1, -1, 1)),
+    "gds": Law(GdsSibuyaParams, ("gamma", "tau"), analytic.gds_pgf, sampler._sample_gds,
+               lambda p: (p.gamma, p.tau, -1, 1)),
+    "poisson": Law(PoissonParams, ("lambda",), analytic.poisson_pgf, sampler._sample_poisson,
+                   lambda p: (1, 1, -p.lam, None)),
     "gamma": Law(GammaParams, ("lambda", "delta"), analytic.gamma_laplace,
                  sampler._sample_gamma),
 }
@@ -118,14 +121,15 @@ def series_pmf(law: str, params, order: int) -> analytic.PmfTable:
     Independent of the finite-sum coefficient formulas; computed in
     decimal arithmetic and rounded to double on return: the builder runs at
     ``oracle.ORACLE_DPS`` significant digits, set here once for the whole
-    expansion by :func:`oracle.precision_scope`.  ``order`` is capped at 200.  A d == 0 TDL record gives the
-    table of its tds law.
+    expansion, the law's family coordinates included, by
+    :func:`oracle.precision_scope`.  ``order`` is capped at 200.  A d == 0
+    TDL record gives the table of its tds law.
     """
     if not 0 <= order <= oracle.MAX_SERIES_ORDER:
         raise DomainError(f"order must lie in [0, {oracle.MAX_SERIES_ORDER}], got {order}")
-    series = _lookup(law, params, "series expansion", count=True).series
+    family = _lookup(law, params, "series expansion", count=True).family
     with oracle.precision_scope():
-        raw = series(params, order).to_floats()
+        raw = oracle._family_series(*family(params), order).to_floats()
     return analytic._finalize_pmf(law, params, raw)
 
 

@@ -5,11 +5,15 @@ Two oracles live here:
 * truncated power series in 40-digit decimal arithmetic (the standard
   library's :mod:`decimal`), used to extract PMF values directly as Taylor
   coefficients of the generating functions.  ``series_pmf`` in :mod:`laws`
-  picks each count law's builder and runs it inside one
-  :func:`precision_scope`, at ``ORACLE_DPS`` (40) significant digits with
-  an unbounded exponent range; the builders here set no precision of
-  their own.  One family builder, :func:`_family_series`, serves tdl, tds,
-  dl and ds, whose p.g.f.s all read outer(beta ((1-cs)^a - (1-c)^a)).
+  reads each count law's family coordinates and runs the one family
+  builder, :func:`_family_series`, inside one :func:`precision_scope`, at
+  ``ORACLE_DPS`` (40) significant digits with an unbounded exponent range;
+  the builder sets no precision of its own.  All eight count laws read
+  outer(beta ((1-cs)^a - (1-c)^a)) with outer exp or a real power: nb is
+  a = 1, Poisson a = c = 1, and the Sibuya and GDS-Sibuya jump laws are
+  the power-1 member, 1 + u itself.  Each Miller inner sum stops at the
+  inner series' last nonzero coefficient, so at a = 1, where that series
+  has degree 1, an expansion costs O(order) terms, not O(order^2).
   This path shares nothing with the finite-sum evaluation it checks:
   powers and exponentials of series are expanded by the classical
   coefficient recurrences (J.C.P. Miller), so it is strictly more accurate
@@ -38,7 +42,6 @@ from .errors import (
     SingularComposition,
     UnsupportedOuterFunction,
 )
-from .params import GdsSibuyaParams, NegativeBinomialParams, PoissonParams, SibuyaParams
 from .sampler import SampleBatch
 
 #: working precision (significant decimal digits) for series arithmetic
@@ -68,7 +71,7 @@ def _dot(xs, ys) -> Decimal:
     carries ten guard digits beyond them.
     """
     with decimal.localcontext(_context(2 * ORACLE_DPS + 10)):
-        return sum(map(operator.mul, xs, ys))
+        return sum(map(operator.mul, xs, ys), Decimal(0))
 
 
 @dataclass(frozen=True)
@@ -133,18 +136,21 @@ def series_compose_outer(inner: TruncatedSeries, outer: OuterTag) -> TruncatedSe
     recurrence b_n = (1/(n a_0)) sum_j (j(p+1) - n) a_j b_{n-j}, which
     requires the constant term a_0 to sit strictly inside the analyticity
     domain (a_0 > 0); a branch-point constant term raises
-    :class:`SingularComposition`.
+    :class:`SingularComposition`.  Each inner sum runs over j <= m, the
+    degree of the last nonzero a_j: the terms it drops are exact zeros.
     """
     order = inner.order
     a = inner.coeffs
+    m = max((j for j, x in enumerate(a) if x), default=0)
     with precision_scope():
-        # each inner sum is one _dot over precomputed lists; the b lists
-        # are kept reversed, b_rev[i] = b_{n-1-i}
+        # each inner sum is one _dot of the inner terms j = 1..m against the
+        # history b_{n-1}, b_{n-2}, ..., newest first; _dot stops where the
+        # shorter list ends, so the sum runs over j <= min(n, m)
         if outer == "exp":
-            ja = [j * a[j] for j in range(order + 1)]
+            ja = [j * a[j] for j in range(1, m + 1)]
             b_rev = [a[0].exp()]
             for n in range(1, order + 1):
-                b_rev.insert(0, _dot(ja[1 : n + 1], b_rev) / n)
+                b_rev.insert(0, _dot(ja, b_rev) / n)
             return TruncatedSeries(tuple(reversed(b_rev)))
         if isinstance(outer, tuple) and len(outer) == 2 and outer[0] == "power":
             p = Decimal(outer[1])
@@ -152,54 +158,33 @@ def series_compose_outer(inner: TruncatedSeries, outer: OuterTag) -> TruncatedSe
                 raise SingularComposition(
                     f"power composition needs a positive constant term, got {a[0]}"
                 )
-            # (j(p+1) - n) a_j b_{n-j} = (p j a_j) b_{n-j} + a_j (-(n-j) b_{n-j})
-            pja = tuple(p * j * a[j] for j in range(order + 1))
-            b_rev = [a[0] ** p]
-            neg_kb_rev = [Decimal(0)]  # -k b_k, reversed like b_rev
+            # (j(p+1) - n) a_j b_{n-j} = (p j a_j) b_{n-j} + a_j (-(n-j) b_{n-j}),
+            # so the history interleaves b_k and -k b_k
+            terms = [t for j in range(1, m + 1) for t in (p * j * a[j], a[j])]
+            hist = [a[0] ** p, Decimal(0)]
             for n in range(1, order + 1):
-                acc = _dot(pja[1 : n + 1] + a[1 : n + 1], b_rev + neg_kb_rev)
-                bn = acc / (n * a[0])
-                b_rev.insert(0, bn)
-                neg_kb_rev.insert(0, -n * bn)
-            return TruncatedSeries(tuple(reversed(b_rev)))
+                bn = _dot(terms, hist) / (n * a[0])
+                hist[:0] = (bn, -n * bn)
+            return TruncatedSeries(tuple(hist[-2::-2]))
     raise UnsupportedOuterFunction(f"outer must be 'exp' or ('power', p), got {outer!r}")
 
 
-def _family_series(a: float, c: float, beta, power: float | None, order: int) -> TruncatedSeries:
-    """Taylor series of the TDL-family p.g.f. form at the current precision.
+def _family_series(a: float, c: float, beta, power, order: int) -> TruncatedSeries:
+    """Taylor series of the family p.g.f. form at the current precision.
 
     With u = beta ((1-cs)^a - (1-c)^a), it expands exp(u) when ``power`` is
     None and (1 + u)^power otherwise; the constant term is exactly 0 resp.
     1 at c = 0, and c = 1 (a > 0) gives the discrete stable and Linnik laws.
+    At power 1 the series is 1 + u itself: Miller's recurrence needs a
+    positive constant term, and the Sibuya law has P(0) = 0.
     """
     inner = series_binomial_power(c, a, order)
     u = inner.shifted_constant(-(1 - Decimal(c)) ** Decimal(a)).scaled(beta)
     if power is None:
         return series_compose_outer(u, "exp")
+    if power == 1:
+        return u.shifted_constant(1)
     return series_compose_outer(u.shifted_constant(1), ("power", power))
-
-
-def _nb_series(p: NegativeBinomialParams, order: int) -> TruncatedSeries:
-    inner = series_binomial_power(p.pi, -p.delta, order)
-    return inner.scaled((1 - Decimal(p.pi)) ** Decimal(p.delta))
-
-
-def _sibuya_series(p: SibuyaParams, order: int) -> TruncatedSeries:
-    inner = series_binomial_power(1.0, p.gamma, order)
-    return inner.scaled(-1).shifted_constant(1)
-
-
-def _gds_series(p: GdsSibuyaParams, order: int) -> TruncatedSeries:
-    inner = series_binomial_power(p.tau, p.gamma, order)
-    return inner.scaled(-1).shifted_constant(1 + (1 - Decimal(p.tau)) ** Decimal(p.gamma))
-
-
-def _poisson_series(p: PoissonParams, order: int) -> TruncatedSeries:
-    lam = Decimal(p.lam)
-    coeffs = [Decimal(-p.lam).exp()]
-    for k in range(order):
-        coeffs.append(coeffs[-1] * lam / (k + 1))
-    return TruncatedSeries(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

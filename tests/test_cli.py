@@ -91,6 +91,19 @@ class TestPmfCommand:
                 float(lo.split(",")[1]), rel=1e-10, abs=0
             )
 
+    @pytest.mark.parametrize("args, kmax", [
+        (("--law", "dl", "--gamma", "0.5", "--lambda", "1", "--delta", "2"), 500),
+        (("-a", "0.5", "-b", "1", "-c", "0.5", "-d", "1", "--oracle"), 300),
+    ])
+    def test_series_path_cap_names_the_kmax_flag(self, runner, args, kmax):
+        res = runner.invoke(main, ["pmf", *args, "--kmax", str(kmax)])
+        assert res.exit_code == 2
+        # CliRunner mixes stderr into output; stdout stays empty
+        assert res.output == (
+            "error: --kmax must lie in [0, 200] on the series path "
+            f"(--oracle, or any law but tdl and tds), got {kmax}\n"
+        )
+
     def test_missing_flag_reported(self, runner):
         res = runner.invoke(main, ["pmf", "--law", "nb", "--pi", "0.5"])
         assert res.exit_code == 2

@@ -1,0 +1,137 @@
+"""The bounded-time contract of the analytic front ends, as a seeded sweep.
+
+A low-discrepancy (Kronecker) sample of the tdl/tds domain, pushed to its
+extremes (b from 1e-4 to 1e5, c within 1e-7 of 0 and 1, a in {+-1e-3,
+0.999, 1}, d = 0 or up to 1e3), and extreme points of the other six count
+laws go through every analytic front end.  Each call must return or raise
+a ``TdlError`` subclass, print no warning, and take at most about ten
+times the median call of its front end on its law.  Sampling is not swept
+yet: at large b its work per draw has no bound (ROADMAP item 5).
+"""
+
+import dataclasses
+import itertools
+import statistics
+import time
+import warnings
+
+import numpy as np
+from click.testing import CliRunner
+
+from tdlinnik import (
+    GdsSibuyaParams,
+    LinnikParams,
+    NegativeBinomialParams,
+    PoissonParams,
+    SibuyaParams,
+    StableParams,
+    TdlError,
+    TdlParams,
+    TdsParams,
+    build_pmf_table,
+    moments_from_pmf,
+    series_pmf,
+    tdl_moments,
+)
+from tdlinnik.cli import main
+from tdlinnik.laws import LAWS
+
+SEED = 2016
+N_TDL = 300
+#: table length on the Panjer path, series order on the series path
+KMAX, ORDER = 400, 60
+#: a call may take SLOWDOWN times the median call of its front end and law;
+#: FLOOR_S absorbs timer and scheduler jitter on calls of a millisecond
+SLOWDOWN, FLOOR_S = 10.0, 0.02
+
+_ALPHA = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0]) % 1.0
+A_EXTREMES = (-1e-3, 1e-3, 0.999, 1.0)
+
+#: the points where build_pmf_table once raised a raw OverflowError
+TDL_FIXED = [TdlParams(-2.6, 0.245, 0.9999998, 0.0), TdlParams(-1.54, 34582.0, 0.99998, 0.0)]
+
+OTHER_LAWS = (
+    [("nb", NegativeBinomialParams(pi, delta))
+     for pi, delta in itertools.product((1e-9, 0.5, 0.999999), (1e-4, 1.0, 1e5))]
+    + [("poisson", PoissonParams(lam)) for lam in (1e-9, 1.0, 50.0, 1e6)]
+    + [("sibuya", SibuyaParams(g)) for g in (1e-6, 0.5, 1.0)]
+    + [("gds", GdsSibuyaParams(g, tau))
+       for g, tau in itertools.product((1e-6, 0.5, 1.0), (1e-9, 0.999999, 1.0))]
+    + [("dl", LinnikParams(g, lam, delta))
+       for g, lam, delta in itertools.product((1e-6, 1.0), (1e-9, 1e6), (1e-4, 1e5))]
+    + [("ds", StableParams(g, lam)) for g, lam in itertools.product((1e-6, 1.0), (1e-9, 1e6))]
+)
+
+
+def tdl_point(u):
+    """One admissible tdl or tds record from a point u of [0, 1)^5."""
+    if u[4] < 0.3:
+        a = A_EXTREMES[int(u[0] * len(A_EXTREMES))]
+    else:
+        a = -3.0 + 4.0 * u[0]
+    b = 10.0 ** (-4.0 + 9.0 * u[1])
+    band, v = divmod(7.0 * u[2], 1.0)
+    c = (0.0, 1.0, 1e-7 * v, 1.0 - 1e-7 * v, v / 3, (1 + v) / 3, (2 + v) / 3)[int(band)]
+    if a <= 0:
+        c = min(c, 1.0 - 1e-7)
+    if u[3] < 0.3:
+        return TdsParams(a, b, c) if u[4] < 0.5 else TdlParams(a, b, c, 0.0)
+    return TdlParams(a, b, c, 10.0 ** (-3.0 + 6.0 * (u[3] - 0.3) / 0.7))
+
+
+def tdl_points(seed, n):
+    shift = np.random.default_rng(seed).random(5)
+    return [tdl_point((shift + r * _ALPHA) % 1.0) for r in range(n)] + TDL_FIXED
+
+
+def timed(fn, *args):
+    """(seconds, result or TdlError) of one call; a warning raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t0 = time.perf_counter()
+        try:
+            out = fn(*args)
+        except TdlError as exc:
+            out = exc
+        return time.perf_counter() - t0, out
+
+
+def cli_pmf(tag, params):
+    flags = []
+    for name, value in zip(LAWS[tag].flags, dataclasses.astuple(params)):
+        flags += ["-" + name if len(name) == 1 else "--" + name, repr(value)]
+    kmax = KMAX if tag in ("tdl", "tds") else ORDER
+    res = CliRunner().invoke(main, ["pmf", "--law", tag, *flags, "--kmax", str(kmax)])
+    # exit 1 on pmf is an unhandled exception; a warning raised as an error lands here too
+    assert res.exit_code in (0, 2, 3, 5), (tag, params, res.exception)
+    return res.exit_code
+
+
+def test_every_call_returns_or_fails_typed_in_bounded_time():
+    calls = []  # (front end, law, call)
+    for p in tdl_points(SEED, N_TDL):
+        tag = "tds" if isinstance(p, TdsParams) else "tdl"
+        calls += [
+            ("build_pmf_table", tag, (build_pmf_table, p, KMAX)),
+            ("series_pmf", tag, (series_pmf, tag, p, ORDER)),
+            ("tdl_moments", tag, (tdl_moments, p)),
+            ("cli pmf", tag, (cli_pmf, tag, p)),
+        ]
+    calls += [("series_pmf", tag, (series_pmf, tag, p, ORDER)) for tag, p in OTHER_LAWS]
+    calls += [("cli pmf", tag, (cli_pmf, tag, p)) for tag, p in OTHER_LAWS]
+
+    times = {}
+    for front, tag, call in calls:
+        seconds, out = timed(*call)
+        times.setdefault((front, tag), []).append((seconds, call))
+        if front == "build_pmf_table" and not isinstance(out, TdlError):
+            follow = (moments_from_pmf, out)
+            times.setdefault(("moments_from_pmf", tag), []).append((timed(*follow)[0], follow))
+
+    for key, runs in times.items():
+        bound = max(SLOWDOWN * statistics.median(s for s, _ in runs), FLOOR_S)
+        for seconds, call in runs:
+            if seconds > bound:
+                # timed once more, so that one preemption alone fails nothing
+                seconds = min(seconds, timed(*call)[0])
+            assert seconds <= bound, (key, call[1:], seconds, bound)

@@ -74,27 +74,43 @@ def test_max_tries_below_one_is_a_domain_error(tag):
         sample_batch(tag, CASES[tag][1], 5, 1, max_tries=0)
 
 
-#: family corners served by the oracle's one TDL-family builder
-SERIES_CORNERS = [
-    ("tdl", TdlParams(0.5, 1.0, 0.3, 0.0)),
-    ("tdl", TdlParams(0.5, 1.5, 1.0, 2.0)),
-    ("tds", TdsParams(0.75, 2.0, 1.0)),
-    ("tdl", TdlParams(-1.5, 0.7, 0.6, 0.5)),
-]
+#: corners of the registered family coordinates, checked against each
+#: law's closed-form p.g.f.
+SERIES_CORNERS = {
+    "tdl-d0": ("tdl", TdlParams(0.5, 1.0, 0.3, 0.0)),
+    "tdl-c1": ("tdl", TdlParams(0.5, 1.5, 1.0, 2.0)),
+    "tds-c1": ("tds", TdsParams(0.75, 2.0, 1.0)),
+    "tdl-a-neg": ("tdl", TdlParams(-1.5, 0.7, 0.6, 0.5)),
+    "tdl-a1": ("tdl", TdlParams(1.0, 1.5, 0.4, 0.7)),  # inner series of degree 1
+    "sibuya-gamma1": ("sibuya", SibuyaParams(1.0)),
+    "gds-tau1": ("gds", GdsSibuyaParams(0.5, 1.0)),
+    "gds-gamma1": ("gds", GdsSibuyaParams(1.0, 0.7)),
+    "nb-pi0.999": ("nb", NegativeBinomialParams(0.999, 3.0)),
+    "poisson-lambda50": ("poisson", PoissonParams(50.0)),
+}
 
 
 @pytest.mark.parametrize(
     "tag, params",
-    [(tag, CASES[tag][1]) for tag in COUNT_LAWS] + SERIES_CORNERS,
-    ids=COUNT_LAWS + ["tdl-d0", "tdl-c1", "tds-c1", "tdl-a-neg"],
+    [(tag, CASES[tag][1]) for tag in COUNT_LAWS] + list(SERIES_CORNERS.values()),
+    ids=COUNT_LAWS + list(SERIES_CORNERS),
 )
 def test_series_matches_registered_pgf(tag, params):
     table = series_pmf(tag, params, 60)
-    s = 0.5
-    partial = sum(pk * s**k for k, pk in enumerate(table.p))
-    # the terms beyond k = 60 add between 0 and tail_mass * s^61
-    gap = family_pgf(tag, params, s) - partial
-    assert -1e-10 <= gap <= table.tail_mass * s**61 + 1e-10
+    for s in (0.1, 0.5, 0.9):
+        partial = sum(pk * s**k for k, pk in enumerate(table.p))
+        # the terms beyond k = 60 add between 0 and tail_mass * s^61
+        gap = family_pgf(tag, params, s) - partial
+        assert -1e-10 <= gap <= table.tail_mass * s**61 + 1e-10, s
+
+
+@pytest.mark.parametrize("tag, params", [
+    ("sibuya", SibuyaParams(0.6)),
+    ("sibuya", SibuyaParams(1.0)),
+    ("gds", GdsSibuyaParams(0.5, 1.0)),
+])
+def test_sibuya_jumps_have_no_mass_at_zero(tag, params):
+    assert series_pmf(tag, params, 60).p[0] == 0.0
 
 
 TDL = TdlParams(0.5, 1.0, 0.5, 1.0)

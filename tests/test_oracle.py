@@ -41,6 +41,30 @@ def poisson_pmf(lam, kmax):
     return np.array([math.exp(-lam) * lam**k / math.factorial(k) for k in range(kmax + 1)])
 
 
+def mp_miller(a, outer, order):
+    """Miller's recurrence for exp or a power of the mpf series ``a``, in
+    mpmath at the ambient working precision, each inner sum one mp.fdot."""
+    if outer == "exp":
+        b = [mp.e ** a[0]]
+        for n in range(1, order + 1):
+            b.append(mp.fdot([j * a[j] for j in range(1, n + 1)], b[::-1]) / n)
+        return b
+    p = mp.mpf(outer[1])
+    b = [a[0] ** p]
+    for n in range(1, order + 1):
+        terms = [(j * (p + 1) - n) * a[j] for j in range(1, n + 1)]
+        b.append(mp.fdot(terms, b[::-1]) / (n * a[0]))
+    return b
+
+
+def mp_binomial_power(c, a, order):
+    """Taylor coefficients binom(a, k) (-c)^k of (1 - c s)^a in mpmath."""
+    out = [mp.mpf(1)]
+    for k in range(order):
+        out.append(out[-1] * -mp.mpf(c) * (mp.mpf(a) - k) / (k + 1))
+    return out
+
+
 class TestSeriesBasics:
     def test_binomial_power_damping_zero(self):
         s = series_binomial_power(0.0, 0.7, 5)
@@ -137,21 +161,9 @@ class TestComposeOuter:
         # the same expansion in a second arbitrary-precision engine (binary
         # mpmath at 40 digits, inner sums by mp.fdot), built from the floats
         with mp.workdps(ORACLE_DPS):
-            a = [mp.mpf(1)]
-            for k in range(order):
-                a.append(a[-1] * -mp.mpf(0.95) * (mp.mpf(-1.5) - k) / (k + 1))
-            a = [-0.3 * x for x in a]
+            a = [-0.3 * x for x in mp_binomial_power(0.95, -1.5, order)]
             a[0] += 1 + 0.3 * mp.mpf(0.05) ** -1.5
-            if outer == "exp":
-                b = [mp.e ** a[0]]
-                for n in range(1, order + 1):
-                    b.append(mp.fdot([j * a[j] for j in range(1, n + 1)], b[::-1]) / n)
-            else:
-                p = mp.mpf(outer[1])
-                b = [a[0] ** p]
-                for n in range(1, order + 1):
-                    terms = [(j * (p + 1) - n) * a[j] for j in range(1, n + 1)]
-                    b.append(mp.fdot(terms, b[::-1]) / (n * a[0]))
+            b = mp_miller(a, outer, order)
         with decimal.localcontext(decimal.Context(prec=ORACLE_DPS)):
             c0 = 1 + Decimal(0.3) * Decimal(0.05) ** Decimal(-1.5)
         u = series_binomial_power(0.95, -1.5, order).scaled(-0.3).shifted_constant(c0)
@@ -229,13 +241,32 @@ class TestSeriesPmf:
             at_80 = series_pmf(law, params, oracle.MAX_SERIES_ORDER)
         assert at_40.p.tolist() == at_80.p.tolist()
 
+    @pytest.mark.parametrize("d", [0.1, 0.3, 0.7, 1.3])
+    def test_tdl_outer_exponent_is_exact(self, d):
+        # the exponent is -1/d itself, not the double -1.0/d: every double of
+        # the table is the expansion with -1/d taken at 60 digits, rounded
+        for a, b, c in [(-1.5, 0.7, 0.6), (-0.5, 2.0, 0.3), (0.25, 1.0, 0.9),
+                        (0.5, 2.7, 0.5), (1.0, 1.5, 0.4)]:
+            got = series_pmf("tdl", TdlParams(a, b, c, d), 100).p
+            with mp.workdps(60):
+                beta = mp.mpf(math.copysign(b, a)) * d
+                u = [beta * x for x in mp_binomial_power(c, a, 100)]
+                u[0] += 1 - beta * (1 - mp.mpf(c)) ** a
+                want = mp_miller(u, ("power", mp.mpf(-1) / d), 100)
+                for g, w in zip(got, want):
+                    f = float(w)
+                    if g != f:  # allowed only at a round-half tie of two adjacent doubles
+                        assert math.nextafter(g, f) == f, (a, b, c, g, f)
+                        assert abs(w - (mp.mpf(g) + f) / 2) <= abs(w) * mp.mpf("1e-35")
+
     def test_nb_series_matches_recurrence(self):
         p = NegativeBinomialParams(0.4, 2.5)
-        table = series_pmf("nb", p, 20)
-        want = [(1 - p.pi) ** p.delta]
-        for k in range(20):
-            want.append(want[-1] * p.pi * (p.delta + k) / (k + 1))
-        assert table.p == pytest.approx(want, rel=1e-13, abs=0)
+        table = series_pmf("nb", p, 200)
+        with mp.workdps(50):
+            want = [(1 - mp.mpf(p.pi)) ** p.delta]
+            for k in range(200):
+                want.append(want[-1] * p.pi * (p.delta + k) / (k + 1))
+        assert table.p == pytest.approx([float(w) for w in want], rel=1e-15, abs=0)
 
     def test_sibuya_series_matches_recurrence(self):
         table = series_pmf("sibuya", SibuyaParams(0.5), 15)
@@ -249,6 +280,15 @@ class TestSeriesPmf:
     def test_poisson_series(self):
         table = series_pmf("poisson", PoissonParams(3.0), 25)
         assert table.p == pytest.approx(poisson_pmf(3.0, 25), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("lam", [3.0, 40.0])
+    def test_poisson_series_matches_recurrence_at_order_200(self, lam):
+        table = series_pmf("poisson", PoissonParams(lam), 200)
+        with mp.workdps(50):
+            want = [mp.exp(-mp.mpf(lam))]
+            for k in range(200):
+                want.append(want[-1] * lam / (k + 1))
+        assert table.p == pytest.approx([float(w) for w in want], rel=1e-15, abs=0)
 
     def test_order_cap(self):
         with pytest.raises(DomainError):
