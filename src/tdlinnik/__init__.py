@@ -8,73 +8,44 @@ discrete/positive Linnik and their tempered versions, plus the Sibuya,
 geometric down-weighting Sibuya, negative binomial, Poisson, and Gamma
 building blocks.  A power-series oracle and chi-square goodness-of-fit
 harness cross-verify every production path.
+
+Every public name below is exported lazily (PEP 562): it is imported
+from its defining module when first used, so ``import tdlinnik`` loads no
+numpy until a name that needs it is looked up.
 """
 
-from .analytic import (
-    PmfTable,
-    build_pmf_table,
-    general_pmf_coefficient_form,
-    tdl_pgf,
-    tdl_pmf,
-    tds_pgf,
-    tds_pmf,
-)
-from .coeffs import (
-    CoeffTable,
-    build_table,
-    coeff_c,
-    coeff_half,
-    coeff_half_step,
-    coeff_neg1,
-    coeff_neg1_step,
-    gen_binom,
-)
-from .errors import (
-    DegenerateDistribution,
-    DomainError,
-    EmptyGrid,
-    HeavyTailOverflow,
-    IncompatibleRoute,
-    InsufficientSample,
-    NumericalInstability,
-    RejectionBudgetExceeded,
-    SingularComposition,
-    TailTooHeavy,
-    TdlError,
-    UnknownLaw,
-    UnsupportedOuterFunction,
-)
-from .laws import family_laplace, family_pgf, sample_batch, series_pmf
-from .moments import MomentSummary, moments_from_pmf, skew_kurt_trace, tdl_moments
-from .oracle import (
-    GofReport,
-    TruncatedSeries,
-    chi_square_gof,
-    empirical_laplace,
-    empirical_pgf,
-    series_binomial_power,
-    series_compose_outer,
-)
-from .params import (
-    AuxParams,
-    DegenerateAtZero,
-    DiscreteLinnikReduction,
-    GammaParams,
-    GdsSibuyaParams,
-    LinnikParams,
-    NegativeBinomialParams,
-    NegativeBinomialReduction,
-    PoissonParams,
-    PoissonTweedieReduction,
-    SibuyaParams,
-    StableParams,
-    TdlParams,
-    TdsParams,
-    TemperedLinnikParams,
-    TemperedStableParams,
-    reduce_special_case,
-    validate_tdl,
-)
-from .sampler import RngStream, SampleBatch
+import importlib
+
+#: the public names, by the module that defines them
+_EXPORTS = {
+    "analytic": ("PmfTable", "build_pmf_table", "general_pmf_coefficient_form", "tdl_pgf",
+                 "tdl_pmf", "tds_pgf", "tds_pmf"),
+    "coeffs": ("CoeffTable", "build_table", "coeff_c", "coeff_half", "coeff_half_step",
+               "coeff_neg1", "coeff_neg1_step", "gen_binom"),
+    "errors": ("DegenerateDistribution", "DomainError", "EmptyGrid", "HeavyTailOverflow",
+               "IncompatibleRoute", "InsufficientSample", "NumericalInstability",
+               "RejectionBudgetExceeded", "SingularComposition", "TailTooHeavy", "TdlError",
+               "UnknownLaw", "UnsupportedOuterFunction"),
+    "laws": ("family_laplace", "family_pgf", "sample_batch", "series_pmf"),
+    "moments": ("MomentSummary", "moments_from_pmf", "skew_kurt_trace", "tdl_moments"),
+    "oracle": ("GofReport", "TruncatedSeries", "chi_square_gof", "empirical_laplace",
+               "empirical_pgf", "series_binomial_power", "series_compose_outer"),
+    "params": ("AuxParams", "DegenerateAtZero", "DiscreteLinnikReduction", "GammaParams",
+               "GdsSibuyaParams", "LinnikParams", "NegativeBinomialParams",
+               "NegativeBinomialReduction", "PoissonParams", "PoissonTweedieReduction",
+               "SibuyaParams", "StableParams", "TdlParams", "TdsParams", "TemperedLinnikParams",
+               "TemperedStableParams", "reduce_special_case", "validate_tdl"),
+    "sampler": ("RngStream", "SampleBatch"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -47,6 +47,7 @@ from .errors import (
     NumericalInstability,
     UnsupportedOuterFunction,
 )
+from .limits import DEFAULT_KMAX  # noqa: F401  (re-exported)
 from .params import (
     GammaParams,
     GdsSibuyaParams,
@@ -64,9 +65,6 @@ from .params import (
 
 #: abort threshold for probabilities escaping [0, 1] before clamping
 INSTABILITY_TOLERANCE = 1e-6
-
-#: default table size for PMF evaluation (CLI exposes an override)
-DEFAULT_KMAX = 60
 
 _LN2 = math.log(2.0)
 

@@ -3,6 +3,8 @@
 Exit codes: 0 ok, 1 check failure, 2 domain error, 3 numerical
 instability, 4 rejection budget exceeded, 5 degenerate distribution.
 All outputs are byte-deterministic for a fixed (arguments, seed, build).
+numpy and the modules built on it are imported by the commands that use
+them, so ``--help``, ``--version`` and ``moments`` start without numpy.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ import json
 import sys
 
 import click
-import numpy as np
 
-from . import __version__, analytic, moments as moments_mod, oracle, sampler, selfcheck
+from . import __version__, moments as moments_mod
 from .errors import (
     DegenerateDistribution,
     DomainError,
@@ -32,6 +33,7 @@ from .errors import (
     UnsupportedOuterFunction,
 )
 from .laws import LAWS, sample_batch, series_pmf
+from .limits import DEFAULT_KMAX, DEFAULT_MAX_TRIES, MAX_SERIES_ORDER, TDL_ROUTES
 
 EXIT_CHECK_FAILURE = 1
 EXIT_DOMAIN = 2
@@ -117,7 +119,7 @@ def main():
 
 @main.command("pmf")
 @law_options
-@click.option("--kmax", type=int, default=analytic.DEFAULT_KMAX, show_default=True)
+@click.option("--kmax", type=int, default=DEFAULT_KMAX, show_default=True)
 @click.option("--oracle", "use_oracle", is_flag=True,
               help="use the extended-precision series path (kmax <= 200)")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
@@ -129,11 +131,13 @@ def cmd_pmf(law, kmax, use_oracle, fmt, out, **flags):
         raise DomainError(f"law {law!r} is continuous; no probability mass function")
     params = _law_params(law, flags)
     if law in ("tdl", "tds") and not use_oracle:
-        table = analytic.build_pmf_table(params, kmax)
+        from .analytic import build_pmf_table
+
+        table = build_pmf_table(params, kmax)
     else:
-        if not 0 <= kmax <= oracle.MAX_SERIES_ORDER:
+        if not 0 <= kmax <= MAX_SERIES_ORDER:
             raise DomainError(
-                f"--kmax must lie in [0, {oracle.MAX_SERIES_ORDER}] on the series path "
+                f"--kmax must lie in [0, {MAX_SERIES_ORDER}] on the series path "
                 f"(--oracle, or any law but tdl and tds), got {kmax}"
             )
         table = series_pmf(law, params, kmax)
@@ -163,14 +167,16 @@ def cmd_pmf(law, kmax, use_oracle, fmt, out, **flags):
 @click.option("-n", "n", type=int, default=10, show_default=True)
 @click.option("--seed", type=int, default=None, help="64-bit seed (echoed to stderr when defaulted)")
 @click.option("--stream", type=int, default=0, show_default=True)
-@click.option("--route", type=click.Choice(sampler.TDL_ROUTES), default="auto", show_default=True,
+@click.option("--route", type=click.Choice(TDL_ROUTES), default="auto", show_default=True,
               help="tdl/tds generation identity (other laws take only auto); "
                    "auto: route d (GDS-Sibuya jumps) for a > 0 and c < 1, else route a")
-@click.option("--max-tries", type=int, default=sampler.DEFAULT_MAX_TRIES, show_default=True)
+@click.option("--max-tries", type=int, default=DEFAULT_MAX_TRIES, show_default=True)
 @click.option("--out", type=click.Path(writable=True, dir_okay=False), default=None)
 @map_errors
 def cmd_sample(law, n, seed, stream, route, max_tries, out, **flags):
     """Draw n variates (newline-delimited; deterministic for a fixed seed)."""
+    import numpy as np
+
     params = _law_params(law, flags)
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**63))
@@ -226,6 +232,8 @@ def _svg_polyline(rows, width=640, height=480, margin=40) -> str:
     One polyline per c value (varying d), which is enough to see the
     reachable region; CSV remains the primary interchange format.
     """
+    import numpy as np
+
     xs = np.array([r[2] for r in rows])
     ys = np.array([r[3] for r in rows])
     x0, x1 = xs.min(), xs.max()
@@ -303,6 +311,8 @@ def cmd_figure(preset, a, b, c_min, c_max, d_min, d_max, grid_c, grid_d, fmt, ou
 @map_errors
 def cmd_check(grid, seed):
     """Run the built-in identity, oracle, and goodness-of-fit checks."""
+    from . import selfcheck
+
     results = selfcheck.run_checks(grid=grid, seed=seed)
     failed = 0
     for r in results:

@@ -1,7 +1,10 @@
 """The law registry, one :class:`Law` record per tag, and its front ends.
 
-Each law is wired here once; the functions its record points to live in
-:mod:`analytic`, :mod:`oracle` and :mod:`sampler`, which never import this.
+Each law is wired here once; the functions its record names live in
+:mod:`analytic` and :mod:`sampler`, which never import this.  They are
+looked up when a front end calls them, so loading the registry loads no
+numpy.
+
 Each count law records its coordinates (a, c, beta, power) in the p.g.f.
 family outer(beta ((1-cs)^a - (1-c)^a)) once, and the oracle's one family
 builder expands them.  A coordinate derived from parameters is a
@@ -13,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import analytic, oracle, sampler
 from .errors import DomainError, IncompatibleRoute, UnknownLaw
+from .limits import DEFAULT_MAX_TRIES, MAX_SERIES_ORDER
 from .params import (
     GammaParams,
     GdsSibuyaParams,
@@ -32,12 +35,17 @@ from .params import (
     sgn,
 )
 
+if TYPE_CHECKING:
+    from .analytic import PmfTable
+    from .sampler import SampleBatch
+
 
 @dataclass(frozen=True)
 class Law:
     """A law's params class, the CLI flags that fill it in field order, and
-    its functions.  ``transform(params, x)`` is the p.g.f. at s in [0, 1]
-    of a count law, or the Laplace transform at t > 0 of a positive law;
+    the names of its functions in :mod:`analytic` and :mod:`sampler`.
+    ``transform(params, x)`` is the p.g.f. at s in [0, 1] of a count law,
+    or the Laplace transform at t > 0 of a positive law;
     ``sample(gen, params, n, route, max_tries)`` draws n variates.  Exactly
     the count laws have ``family(params) -> (a, c, beta, power)``, their
     coordinates in the p.g.f. family outer(beta ((1-cs)^a - (1-c)^a)), with
@@ -47,13 +55,25 @@ class Law:
 
     params: type
     flags: tuple
-    transform: Callable
-    sample: Callable
+    transform_name: str
+    sample_name: str
     family: Callable | None = None
 
     @property
     def is_count(self) -> bool:
         return self.family is not None
+
+    @property
+    def transform(self) -> Callable:
+        from . import analytic
+
+        return getattr(analytic, self.transform_name)
+
+    @property
+    def sample(self) -> Callable:
+        from . import sampler
+
+        return getattr(sampler, self.sample_name)
 
 
 def _tdl_family(p: TdlParams | TdsParams) -> tuple:
@@ -65,31 +85,26 @@ def _tdl_family(p: TdlParams | TdsParams) -> tuple:
 
 
 LAWS = {
-    "tdl": Law(TdlParams, ("a", "b", "c", "d"), analytic.tdl_pgf,
-               sampler._sample_tdl, _tdl_family),
-    "tds": Law(TdsParams, ("a", "b", "c"), analytic.tds_pgf,
-               sampler._sample_tdl, _tdl_family),
-    "dl": Law(LinnikParams, ("gamma", "lambda", "delta"), analytic.dl_pgf, sampler._sample_dl,
+    "tdl": Law(TdlParams, ("a", "b", "c", "d"), "tdl_pgf", "_sample_tdl", _tdl_family),
+    "tds": Law(TdsParams, ("a", "b", "c"), "tds_pgf", "_sample_tdl", _tdl_family),
+    "dl": Law(LinnikParams, ("gamma", "lambda", "delta"), "dl_pgf", "_sample_dl",
               lambda p: (p.gamma, 1, Decimal(p.lam) / Decimal(p.delta), -p.delta)),
-    "ds": Law(StableParams, ("gamma", "lambda"), analytic.ds_pgf, sampler._sample_ds,
+    "ds": Law(StableParams, ("gamma", "lambda"), "ds_pgf", "_sample_ds",
               lambda p: (p.gamma, 1, -p.lam, None)),
-    "ps": Law(StableParams, ("gamma", "lambda"), analytic.ps_laplace, sampler._sample_ps),
-    "tps": Law(TemperedStableParams, ("gamma", "lambda", "theta"), analytic.tps_laplace,
-               sampler._sample_tps),
-    "pl": Law(LinnikParams, ("gamma", "lambda", "delta"), analytic.pl_laplace,
-              sampler._sample_pl),
-    "tpl": Law(TemperedLinnikParams, ("gamma", "lambda", "theta", "delta"),
-               analytic.tpl_laplace, sampler._sample_tpl),
-    "nb": Law(NegativeBinomialParams, ("pi", "delta"), analytic.nb_pgf, sampler._sample_nb,
+    "ps": Law(StableParams, ("gamma", "lambda"), "ps_laplace", "_sample_ps"),
+    "tps": Law(TemperedStableParams, ("gamma", "lambda", "theta"), "tps_laplace", "_sample_tps"),
+    "pl": Law(LinnikParams, ("gamma", "lambda", "delta"), "pl_laplace", "_sample_pl"),
+    "tpl": Law(TemperedLinnikParams, ("gamma", "lambda", "theta", "delta"), "tpl_laplace",
+               "_sample_tpl"),
+    "nb": Law(NegativeBinomialParams, ("pi", "delta"), "nb_pgf", "_sample_nb",
               lambda p: (1, p.pi, 1 / (1 - Decimal(p.pi)), -p.delta)),
-    "sibuya": Law(SibuyaParams, ("gamma",), analytic.sibuya_pgf, sampler._sample_sibuya,
+    "sibuya": Law(SibuyaParams, ("gamma",), "sibuya_pgf", "_sample_sibuya",
                   lambda p: (p.gamma, 1, -1, 1)),
-    "gds": Law(GdsSibuyaParams, ("gamma", "tau"), analytic.gds_pgf, sampler._sample_gds,
+    "gds": Law(GdsSibuyaParams, ("gamma", "tau"), "gds_pgf", "_sample_gds",
                lambda p: (p.gamma, p.tau, -1, 1)),
-    "poisson": Law(PoissonParams, ("lambda",), analytic.poisson_pgf, sampler._sample_poisson,
+    "poisson": Law(PoissonParams, ("lambda",), "poisson_pgf", "_sample_poisson",
                    lambda p: (1, 1, -p.lam, None)),
-    "gamma": Law(GammaParams, ("lambda", "delta"), analytic.gamma_laplace,
-                 sampler._sample_gamma),
+    "gamma": Law(GammaParams, ("lambda", "delta"), "gamma_laplace", "_sample_gamma"),
 }
 
 
@@ -115,7 +130,7 @@ def family_laplace(law: str, params, t: float) -> float:
     return _lookup(law, params, "Laplace transform", count=False).transform(params, t)
 
 
-def series_pmf(law: str, params, order: int) -> analytic.PmfTable:
+def series_pmf(law: str, params, order: int) -> PmfTable:
     """Ground-truth PMF of an integer law from its p.g.f. Taylor coefficients.
 
     Independent of the finite-sum coefficient formulas; computed in
@@ -125,8 +140,10 @@ def series_pmf(law: str, params, order: int) -> analytic.PmfTable:
     :func:`oracle.precision_scope`.  ``order`` is capped at 200.  A d == 0
     TDL record gives the table of its tds law.
     """
-    if not 0 <= order <= oracle.MAX_SERIES_ORDER:
-        raise DomainError(f"order must lie in [0, {oracle.MAX_SERIES_ORDER}], got {order}")
+    from . import analytic, oracle
+
+    if not 0 <= order <= MAX_SERIES_ORDER:
+        raise DomainError(f"order must lie in [0, {MAX_SERIES_ORDER}], got {order}")
     family = _lookup(law, params, "series expansion", count=True).family
     with oracle.precision_scope():
         raw = oracle._family_series(*family(params), order).to_floats()
@@ -140,8 +157,8 @@ def sample_batch(
     seed: int,
     stream: int = 0,
     route: str = "auto",
-    max_tries: int = sampler.DEFAULT_MAX_TRIES,
-) -> sampler.SampleBatch:
+    max_tries: int = DEFAULT_MAX_TRIES,
+) -> SampleBatch:
     """Draw n variates of a named law from a fresh (seed, stream) stream.
 
     ``route`` picks the generation identity of tdl and tds (one of
@@ -157,6 +174,8 @@ def sample_batch(
     ``max_tries`` rounds; ``max_tries`` also bounds the expected tries per
     draw of the GDS-Sibuya thinning sampler.
     """
+    from . import sampler
+
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     if max_tries < 1:

@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .analytic import PmfTable
 from .errors import DegenerateDistribution, DomainError, EmptyGrid, TailTooHeavy
 from .params import TdlParams, TdsParams, sgn
+
+if TYPE_CHECKING:
+    from .analytic import PmfTable
 
 #: tables with more tail mass than this cannot support trusted moments
 MOMENT_TAIL_LIMIT = 1e-9
@@ -150,6 +151,8 @@ def skew_kurt_trace(
             "negative d values are out of scope and were clipped to d >= 0",
             stacklevel=2,
         )
+    import numpy as np
+
     cs = np.linspace(c_lo, c_hi, nc)
     ds = np.linspace(d_lo, d_hi, nd)
     ds = ds[ds >= 0]

@@ -30,11 +30,10 @@ import math
 import operator
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .analytic import PmfTable
 from .errors import (
     DomainError,
     InsufficientSample,
@@ -42,13 +41,14 @@ from .errors import (
     SingularComposition,
     UnsupportedOuterFunction,
 )
-from .sampler import SampleBatch
+from .limits import MAX_SERIES_ORDER  # noqa: F401  (re-exported)
+
+if TYPE_CHECKING:
+    from .analytic import PmfTable
+    from .sampler import SampleBatch
 
 #: working precision (significant decimal digits) for series arithmetic
 ORACLE_DPS = 40
-
-#: hard cap on the series truncation order
-MAX_SERIES_ORDER = 200
 
 OuterTag = Union[str, tuple]
 

@@ -72,6 +72,7 @@ from .errors import (
     IncompatibleRoute,
     RejectionBudgetExceeded,
 )
+from .limits import DEFAULT_MAX_TRIES, TDL_ROUTES
 from .params import (
     GammaParams,
     GdsSibuyaParams,
@@ -86,10 +87,6 @@ from .params import (
     TemperedStableParams,
 )
 
-#: tries per draw allowed to the rejection samplers: the rounds of the
-#: tempering step, and the expected tries of GDS-Sibuya thinning
-DEFAULT_MAX_TRIES = 10**6
-
 #: support cap for heavy-tailed integer draws
 SIBUYA_SUPPORT_CAP = 10**9
 
@@ -102,8 +99,6 @@ JUMP_BLOCK = 1 << 20
 #: numpy's Poisson generator rejects intensities above roughly 2^63 * 1e-1;
 #: anything near that is a heavy-tail blowup we surface as a typed error
 _POISSON_LAM_CAP = 9.0e18
-
-TDL_ROUTES = ("auto", "a", "b", "c", "d")
 
 
 class RngStream:

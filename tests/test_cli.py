@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import tdlinnik
 from tdlinnik import StableParams, TdlParams, coeffs, sample_batch
 from tdlinnik.cli import _SAMPLE_CHUNK, main
 
@@ -26,6 +28,16 @@ def run_python(*args, check=True):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, check=check
     )
+
+
+def imported_modules(*args):
+    """The exit code of ``python -X importtime *args`` and the modules it imported."""
+    res = run_python("-X", "importtime", *args, check=False)
+    lines = [line for line in res.stderr.splitlines() if line.startswith("import time:")]
+    return res.returncode, {line.rsplit("|", 1)[-1].strip() for line in lines}
+
+
+POINT = ("-a", "0.5", "-b", "1", "-c", "0.5", "-d", "1")
 
 
 class TestPmfCommand:
@@ -380,3 +392,53 @@ class TestStartup:
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('mpmath', 'fractions')))"
         )
         assert run_python("-c", code).stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (("-m", "tdlinnik", "--help"), 0),
+            (("-m", "tdlinnik", "--version"), 0),
+            (("-m", "tdlinnik", "moments", *POINT, "--format", "json"), 0),
+            (("-m", "tdlinnik", "moments", *POINT, "--format", "csv"), 0),
+            (("-m", "tdlinnik", "moments", "-a", "0.5", "-c", "0.5", "-d", "1"), 2),
+            (("-c", "import tdlinnik"), 0),
+        ],
+        ids=["help", "version", "moments-json", "moments-csv", "moments-missing-b", "import"],
+    )
+    def test_starts_without_numpy(self, args, code):
+        returncode, modules = imported_modules(*args)
+        assert returncode == code
+        assert "numpy" not in modules
+
+    def test_pmf_loads_numpy(self):
+        # the positive control: the import log does name numpy when it loads
+        returncode, modules = imported_modules("-m", "tdlinnik", "pmf", "--kmax", "5", *POINT)
+        assert returncode == 0
+        assert "numpy" in modules
+
+    def test_series_pmf_does_not_load_the_sampler(self):
+        returncode, modules = imported_modules(
+            "-m", "tdlinnik", "pmf", "--law", "dl", "--gamma", "0.5", "--lambda", "1",
+            "--delta", "2", "--kmax", "50",
+        )
+        assert returncode == 0
+        assert "tdlinnik.oracle" in modules and "tdlinnik.sampler" not in modules
+
+    def test_every_export_is_the_object_of_its_defining_module(self):
+        for name in tdlinnik.__all__:
+            value = getattr(tdlinnik, name)
+            module = f"tdlinnik.{tdlinnik._MODULE_OF[name]}"
+            assert getattr(importlib.import_module(module), name) is value, name
+            # a class or function is exported from where it is defined, not
+            # from a module that imports it (AuxParams, a Union, has no home)
+            assert getattr(value, "__module__", module) in (module, "typing"), name
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from tdlinnik import *", namespace)
+        for name in tdlinnik.__all__:
+            assert namespace[name] is getattr(tdlinnik, name), name
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            tdlinnik.no_such_name
