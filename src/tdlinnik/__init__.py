@@ -26,15 +26,14 @@ _EXPORTS = {
                "IncompatibleRoute", "InsufficientSample", "NumericalInstability",
                "RejectionBudgetExceeded", "SingularComposition", "TailTooHeavy", "TdlError",
                "UnknownLaw", "UnsupportedOuterFunction"),
-    "laws": ("family_laplace", "family_pgf", "sample_batch", "series_pmf"),
+    "laws": ("family_laplace", "family_pgf", "reduce_special_case", "sample_batch",
+             "series_pmf"),
     "moments": ("MomentSummary", "moments_from_pmf", "skew_kurt_trace", "tdl_moments"),
     "oracle": ("GofReport", "TruncatedSeries", "chi_square_gof", "empirical_laplace",
                "empirical_pgf", "series_binomial_power", "series_compose_outer"),
-    "params": ("AuxParams", "DegenerateAtZero", "DiscreteLinnikReduction", "GammaParams",
-               "GdsSibuyaParams", "LinnikParams", "NegativeBinomialParams",
-               "NegativeBinomialReduction", "PoissonParams", "PoissonTweedieReduction",
-               "SibuyaParams", "StableParams", "TdlParams", "TdsParams", "TemperedLinnikParams",
-               "TemperedStableParams", "reduce_special_case", "validate_tdl"),
+    "params": ("GammaParams", "GdsSibuyaParams", "LinnikParams", "NegativeBinomialParams",
+               "PoissonParams", "SibuyaParams", "StableParams", "TdlParams", "TdsParams",
+               "TemperedLinnikParams", "TemperedStableParams", "validate_tdl"),
     "sampler": ("RngStream", "SampleBatch"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

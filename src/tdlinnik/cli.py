@@ -168,8 +168,9 @@ def cmd_pmf(law, kmax, use_oracle, fmt, out, **flags):
 @click.option("--seed", type=int, default=None, help="64-bit seed (echoed to stderr when defaulted)")
 @click.option("--stream", type=int, default=0, show_default=True)
 @click.option("--route", type=click.Choice(TDL_ROUTES), default="auto", show_default=True,
-              help="tdl/tds generation identity (other laws take only auto); "
-                   "auto: route d (GDS-Sibuya jumps) for a > 0 and c < 1, else route a")
+              help="generation identity of tdl/tds and of ds/dl, drawn as their TDL "
+                   "members (other laws take only auto); auto: route d (GDS-Sibuya "
+                   "jumps) for a > 0 and c < 1, else route a")
 @click.option("--max-tries", type=int, default=DEFAULT_MAX_TRIES, show_default=True)
 @click.option("--out", type=click.Path(writable=True, dir_okay=False), default=None)
 @map_errors

@@ -1,7 +1,9 @@
 """The law registry, one :class:`Law` record per tag, and its front ends.
 
 Each law is wired here once; the functions its record names live in
-:mod:`analytic` and :mod:`sampler`, which never import this.  They are
+:mod:`analytic` and :mod:`sampler`, which never import this.  The special
+cases of the TDL family are named here too: ds and dl by the TDL record
+each equals, and a TDL point by :func:`reduce_special_case`.  They are
 looked up when a front end calls them, so loading the registry loads no
 numpy.
 
@@ -50,7 +52,9 @@ class Law:
     the count laws have ``family(params) -> (a, c, beta, power)``, their
     coordinates in the p.g.f. family outer(beta ((1-cs)^a - (1-c)^a)), with
     outer x^power, or exp where ``power`` is None; the closed-form
-    ``transform`` is the independent check on them.
+    ``transform`` is the independent check on them.  A law that equals a
+    member of the TDL family has ``member(params)``, the tdl or tds record
+    of that member, and is sampled as it.
     """
 
     params: type
@@ -58,6 +62,7 @@ class Law:
     transform_name: str
     sample_name: str
     family: Callable | None = None
+    member: Callable | None = None
 
     @property
     def is_count(self) -> bool:
@@ -87,10 +92,11 @@ def _tdl_family(p: TdlParams | TdsParams) -> tuple:
 LAWS = {
     "tdl": Law(TdlParams, ("a", "b", "c", "d"), "tdl_pgf", "_sample_tdl", _tdl_family),
     "tds": Law(TdsParams, ("a", "b", "c"), "tds_pgf", "_sample_tdl", _tdl_family),
-    "dl": Law(LinnikParams, ("gamma", "lambda", "delta"), "dl_pgf", "_sample_dl",
-              lambda p: (p.gamma, 1, Decimal(p.lam) / Decimal(p.delta), -p.delta)),
-    "ds": Law(StableParams, ("gamma", "lambda"), "ds_pgf", "_sample_ds",
-              lambda p: (p.gamma, 1, -p.lam, None)),
+    "dl": Law(LinnikParams, ("gamma", "lambda", "delta"), "dl_pgf", "_sample_tdl",
+              lambda p: (p.gamma, 1, Decimal(p.lam) / Decimal(p.delta), -p.delta),
+              lambda p: TdlParams(p.gamma, p.lam, 1.0, 1.0 / p.delta)),
+    "ds": Law(StableParams, ("gamma", "lambda"), "ds_pgf", "_sample_tdl",
+              lambda p: (p.gamma, 1, -p.lam, None), lambda p: TdsParams(p.gamma, p.lam, 1.0)),
     "ps": Law(StableParams, ("gamma", "lambda"), "ps_laplace", "_sample_ps"),
     "tps": Law(TemperedStableParams, ("gamma", "lambda", "theta"), "tps_laplace", "_sample_tps"),
     "pl": Law(LinnikParams, ("gamma", "lambda", "delta"), "pl_laplace", "_sample_pl"),
@@ -161,11 +167,14 @@ def sample_batch(
 ) -> SampleBatch:
     """Draw n variates of a named law from a fresh (seed, stream) stream.
 
+    A law registered with a TDL ``member`` (ds, dl) is drawn as that tdl
+    or tds record; the batch still names ``law`` and ``params``.
     ``route`` picks the generation identity of tdl and tds (one of
     ``sampler.TDL_ROUTES``; tds is the d = 0 member of tdl and reads the
-    routes the same way).  Other laws have one identity and take only
-    ``"auto"``; any other route raises :class:`IncompatibleRoute`.  The
-    default ``"auto"`` has no tempering rejection: for a > 0 and c < 1 it
+    routes the same way), and so of the laws drawn as their members.
+    Other laws have one identity and take only ``"auto"``; any other route
+    raises :class:`IncompatibleRoute`.  The default ``"auto"`` has no
+    tempering rejection: for a > 0 and c < 1 it
     is route d, a sum of GDS-Sibuya(a, c) jumps over NB counts (Poisson(b)
     counts at d = 0), and otherwise route a, whose tempering step is a
     Poisson sum of Gammas for a < 0 and needs no tempering at c = 1.  An
@@ -180,9 +189,32 @@ def sample_batch(
         raise DomainError(f"n must be >= 0, got {n}")
     if max_tries < 1:
         raise DomainError(f"max_tries must be >= 1, got {max_tries}")
-    sample = _lookup(law, params, "sampler").sample
-    if route != "auto" and sample is not sampler._sample_tdl:
+    entry = _lookup(law, params, "sampler")
+    if route != "auto" and entry.sample is not sampler._sample_tdl:
         raise IncompatibleRoute(f"law {law!r} has no generation routes, got route {route!r}")
+    drawn = entry.member(params) if entry.member else params
     r = sampler.RngStream(seed, stream)
-    values = sample(r.generator, params, n, route, max_tries)
+    values = entry.sample(r.generator, drawn, n, route, max_tries)
     return sampler.SampleBatch(law, params, n, values, seed, stream)
+
+
+def reduce_special_case(p: TdlParams | TdsParams) -> tuple[str, object] | None:
+    """The registered ``(tag, params)`` pair of the law a TDL point equals.
+
+    Checked in order: d == 0 gives ``("tds", (a, b, c))``, a == 1 the
+    negative binomial ``("nb", (bcd / (1 + bcd), 1/d))`` and c == 1 the
+    discrete Linnik ``("dl", (a, b, 1/d))``.  An interior point gives None,
+    and so does a point mass at zero (``p.is_degenerate``), which every
+    front end serves as it is; it is checked first, so c == 0 never gives
+    pi == 0.  Any front end takes the pair: ``series_pmf(*pair, order)``.
+    """
+    if p.is_degenerate:
+        return None
+    if p.d == 0:
+        return "tds", TdsParams(p.a, p.b, p.c)
+    if p.a == 1:
+        bcd = p.b * p.c * p.d
+        return "nb", NegativeBinomialParams(bcd / (1.0 + bcd), 1.0 / p.d)
+    if p.c == 1:
+        return "dl", LinnikParams(p.a, p.b, 1.0 / p.d)
+    return None

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import DomainError
 
@@ -253,11 +252,6 @@ class GdsSibuyaParams:
             raise DomainError(f"tau must lie in (0, 1], got {self.tau}")
 
 
-AuxParams = Union[
-    NegativeBinomialParams, GammaParams, PoissonParams, SibuyaParams, GdsSibuyaParams
-]
-
-
 def validate_tdl(a: float, b: float, c: float, d: float) -> TdlParams:
     """Validate (a, b, c, d) and return the parameter record.
 
@@ -266,64 +260,3 @@ def validate_tdl(a: float, b: float, c: float, d: float) -> TdlParams:
     flagged as the degenerate-at-zero branch.
     """
     return TdlParams(float(a), float(b), float(c), float(d))
-
-
-# ---------------------------------------------------------------------------
-# Special-case reductions
-
-
-@dataclass(frozen=True, slots=True)
-class DegenerateAtZero:
-    """The law is a point mass at 0 (a == 0 or c == 0)."""
-
-
-@dataclass(frozen=True, slots=True)
-class NegativeBinomialReduction:
-    """a == 1, d > 0: the law is NB(b*c*d / (1 + b*c*d), 1/d)."""
-
-    params: NegativeBinomialParams
-
-
-@dataclass(frozen=True, slots=True)
-class DiscreteLinnikReduction:
-    """c == 1, a in (0, 1]: the law is discrete Linnik (a, b, 1/d)."""
-
-    params: LinnikParams
-
-
-@dataclass(frozen=True, slots=True)
-class PoissonTweedieReduction:
-    """d == 0: the law is the Poisson-Tweedie / tempered discrete stable."""
-
-    params: TdsParams
-
-
-Reduction = Union[
-    DegenerateAtZero,
-    NegativeBinomialReduction,
-    DiscreteLinnikReduction,
-    PoissonTweedieReduction,
-]
-
-
-def reduce_special_case(p: TdlParams) -> Reduction | None:
-    """Recognize the classical law a TDL parameter point collapses to.
-
-    Returns ``None`` for a genuine interior point.  Total on valid params.
-    The degenerate check precedes the a == 1 check so that c == 0 never
-    produces a negative-binomial tag with pi == 0.
-    """
-    if p.is_degenerate:
-        return DegenerateAtZero()
-    if p.d == 0:
-        return PoissonTweedieReduction(p.tds())
-    if p.a == 1:
-        bcd = p.b * p.c * p.d
-        return NegativeBinomialReduction(
-            NegativeBinomialParams(pi=bcd / (1.0 + bcd), delta=1.0 / p.d)
-        )
-    if p.c == 1:
-        return DiscreteLinnikReduction(
-            LinnikParams(gamma=p.a, lam=p.b, delta=1.0 / p.d)
-        )
-    return None

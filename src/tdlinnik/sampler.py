@@ -7,7 +7,10 @@ between threads, never share one concurrently; parallel work should use
 ``stream.split(i)`` to derive independently seeded streams.  Each law's
 batch sampler ``_sample_<tag>(gen, params, n, route, max_tries)`` is listed
 in the registry of :mod:`laws`, whose ``sample_batch`` is the one sampling
-front end; only the tdl sampler, which also serves tds, reads ``route``.
+front end; only the tdl sampler reads ``route``.  It also serves tds, and
+the discrete stable and discrete Linnik laws, which the registry draws as
+their TDL members ds(gamma, lam) = tds(gamma, lam, 1) and
+dl(gamma, lam, delta) = tdl(gamma, lam, 1, 1/delta).
 
 Generation routes follow the mixture/compound identities of the family:
 
@@ -438,14 +441,6 @@ def _sample_tdl(
 def _linnik_scales(gen: np.random.Generator, p, n: int) -> np.ndarray:
     """Gamma(delta, lam/delta) mixing scales of the (tempered) Linnik laws."""
     return gen.gamma(shape=p.delta, scale=p.lam / p.delta, size=n)
-
-
-def _sample_ds(gen, p: StableParams, n, route, max_tries):
-    return _poisson_mix(gen, _ps_vec(gen, p.gamma, p.lam, n))
-
-
-def _sample_dl(gen, p: LinnikParams, n, route, max_tries):
-    return _poisson_mix(gen, _ps_vec(gen, p.gamma, _linnik_scales(gen, p, n), n))
 
 
 def _sample_ps(gen, p: StableParams, n, route, max_tries):

@@ -17,7 +17,6 @@ import numpy as np
 from . import analytic, coeffs, laws, moments, oracle
 from .params import (
     GdsSibuyaParams,
-    LinnikParams,
     NegativeBinomialParams,
     StableParams,
     TdlParams,
@@ -41,23 +40,13 @@ def _check_identities(reduced: bool) -> CheckResult:
     """Pointwise p.g.f. identities between the law and its special cases."""
     worst = 0.0
     ss = _sgrid(11 if reduced else 41)
-    # a = 1 collapses to the negative binomial
-    for b, c, d in ((1.0, 0.5, 1.0), (2.0, 0.3, 0.5), (0.5, 0.9, 4.0)):
-        p = TdlParams(1.0, b, c, d)
-        bcd = b * c * d
-        nb = NegativeBinomialParams(bcd / (1 + bcd), 1.0 / d)
+    # a = 1 collapses to the negative binomial, c = 1 to the discrete Linnik
+    for a, b, c, d in ((1.0, 1.0, 0.5, 1.0), (1.0, 2.0, 0.3, 0.5), (1.0, 0.5, 0.9, 4.0),
+                       (0.5, 1.0, 1.0, 1.0), (0.25, 2.0, 1.0, 0.5)):
+        p = TdlParams(a, b, c, d)
+        pair = laws.reduce_special_case(p)
         for s in ss:
-            worst = max(
-                worst, abs(analytic.tdl_pgf(p, s) - analytic.nb_pgf(nb, s))
-            )
-    # c = 1 collapses to the discrete Linnik
-    for a, b, d in ((0.5, 1.0, 1.0), (0.25, 2.0, 0.5)):
-        p = TdlParams(a, b, 1.0, d)
-        dl = LinnikParams(a, b, 1.0 / d)
-        for s in ss:
-            worst = max(
-                worst, abs(analytic.tdl_pgf(p, s) - analytic.dl_pgf(dl, s))
-            )
+            worst = max(worst, abs(analytic.tdl_pgf(p, s) - laws.family_pgf(*pair, s)))
     # compound representations of the tempered discrete Linnik p.g.f.
     for a, b, c, d in ((0.5, 1.0, 0.5, 1.0), (-1.0, 2.0, 0.3, 0.5)):
         p = TdlParams(a, b, c, d)

@@ -126,7 +126,8 @@ class TestAcceptance:
                     p = TdlParams(a, b, 1.0, d)
                     dl = LinnikParams(a, b, 1.0 / d)
                     worst_dl = max(
-                        abs(tdl_pgf(p, s) - family_pgf("dl", dl, s)) for s in ss
+                        worst_dl,
+                        max(abs(tdl_pgf(p, s) - family_pgf("dl", dl, s)) for s in ss),
                     )
         worst_d0 = 0.0
         for a in A_GRID:

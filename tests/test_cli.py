@@ -430,8 +430,8 @@ class TestStartup:
             module = f"tdlinnik.{tdlinnik._MODULE_OF[name]}"
             assert getattr(importlib.import_module(module), name) is value, name
             # a class or function is exported from where it is defined, not
-            # from a module that imports it (AuxParams, a Union, has no home)
-            assert getattr(value, "__module__", module) in (module, "typing"), name
+            # from a module that imports it
+            assert getattr(value, "__module__", module) == module, name
 
     def test_star_import_binds_every_export(self):
         namespace = {}

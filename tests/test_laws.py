@@ -7,6 +7,7 @@ from tdlinnik import (
     DomainError,
     GammaParams,
     GdsSibuyaParams,
+    IncompatibleRoute,
     LinnikParams,
     NegativeBinomialParams,
     PoissonParams,
@@ -53,8 +54,43 @@ def test_family_has_thirteen_laws_eight_of_them_count_laws():
     assert COUNT_LAWS == ["tdl", "tds", "dl", "ds", "nb", "sibuya", "gds", "poisson"]
 
 
-def test_tds_is_sampled_as_the_d_zero_member_of_tdl():
-    assert LAWS["tds"].sample is LAWS["tdl"].sample
+MEMBER_LAWS = [tag for tag, law in LAWS.items() if law.member]
+
+
+def test_tds_and_every_member_law_are_sampled_by_the_tdl_sampler():
+    assert MEMBER_LAWS == ["dl", "ds"]
+    for tag in ["tds", *MEMBER_LAWS]:
+        assert LAWS[tag].sample is LAWS["tdl"].sample, tag
+
+
+@pytest.mark.parametrize("tag", MEMBER_LAWS)
+def test_member_law_draws_its_tdl_member_under_its_own_name(tag):
+    params = CASES[tag][1]
+    member = LAWS[tag].member(params)
+    batch = sample_batch(tag, params, 2000, 3)
+    want = sample_batch("tds" if isinstance(member, TdsParams) else "tdl", member, 2000, 3)
+    assert batch.values.tobytes() == want.values.tobytes()
+    assert (batch.law, batch.params) == (tag, params)
+
+
+@pytest.mark.parametrize("tag", MEMBER_LAWS)
+def test_member_law_takes_the_tdl_routes(tag):
+    params = CASES[tag][1]
+    auto = sample_batch(tag, params, 2000, 5).values
+    assert sample_batch(tag, params, 2000, 5, route="a").values.tobytes() == auto.tobytes()
+    for route in ("b", "c"):  # they need a < 0, and the member has a = gamma > 0
+        with pytest.raises(IncompatibleRoute, match="requires a < 0"):
+            sample_batch(tag, params, 5, 1, route=route)
+
+
+def test_law_without_routes_takes_only_auto():
+    with pytest.raises(IncompatibleRoute, match="has no generation routes"):
+        sample_batch("nb", CASES["nb"][1], 5, 1, route="a")
+    res = CliRunner().invoke(
+        main, ["sample", "--law", "poisson", "--lambda", "3", "--route", "c", "--seed", "1"]
+    )
+    assert res.exit_code == 2
+    assert "law 'poisson' has no generation routes, got route 'c'" in res.output
 
 
 @pytest.mark.parametrize("tag", list(LAWS))

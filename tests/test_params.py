@@ -4,23 +4,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tdlinnik import (
-    DegenerateAtZero,
-    DiscreteLinnikReduction,
     DomainError,
     GdsSibuyaParams,
     LinnikParams,
     NegativeBinomialParams,
-    NegativeBinomialReduction,
-    PoissonTweedieReduction,
     SibuyaParams,
     StableParams,
     TdlParams,
     TdsParams,
     TemperedStableParams,
     reduce_special_case,
+    sample_batch,
+    series_pmf,
     validate_tdl,
 )
 from tdlinnik.analytic import nb_pgf, tdl_pgf
+from tdlinnik.laws import LAWS
 
 
 def in_tdl_domain(a, b, c, d):
@@ -151,41 +150,66 @@ class TestOtherRecords:
             p.a = 0.9
 
 
+def same_series(p: TdlParams | TdsParams) -> tuple:
+    """The pair of a reducible point, after checking that its order-60
+    series equals the point's own, entry by entry to 1e-12 relative."""
+    pair = reduce_special_case(p)
+    assert pair is not None and pair[0] in LAWS
+    want = series_pmf("tds" if isinstance(p, TdsParams) else "tdl", p, 60).p
+    assert series_pmf(*pair, 60).p == pytest.approx(want, rel=1e-12, abs=0)
+    return pair
+
+
 class TestReduceSpecialCase:
     def test_a_one_gives_negative_binomial(self):
-        red = reduce_special_case(validate_tdl(1.0, 1.0, 0.5, 1.0))
-        assert isinstance(red, NegativeBinomialReduction)
-        assert red.params.pi == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert red.params.delta == 1.0
+        for b, c, d in ((1.0, 0.5, 1.0), (2.0, 0.3, 0.25), (0.5, 0.9, 4.0), (1.5, 1.0, 0.7)):
+            assert same_series(validate_tdl(1.0, b, c, d))[0] == "nb"
 
     def test_a_zero_degenerates(self):
-        assert isinstance(
-            reduce_special_case(validate_tdl(0.0, 2.0, 0.7, 3.0)), DegenerateAtZero
-        )
+        # a point mass at zero is no registered law; every front end serves it
+        p = validate_tdl(0.0, 2.0, 0.7, 3.0)
+        assert p.is_degenerate and reduce_special_case(p) is None
 
     def test_c_zero_degenerates_even_at_a_one(self):
-        # a == 1 with c == 0 would give pi == 0; the degenerate tag wins
-        assert isinstance(
-            reduce_special_case(validate_tdl(1.0, 1.0, 0.0, 1.0)), DegenerateAtZero
-        )
+        # a == 1 with c == 0 would give pi == 0, which NB rejects; no pair, no error
+        p = validate_tdl(1.0, 1.0, 0.0, 1.0)
+        assert p.is_degenerate and reduce_special_case(p) is None
 
     def test_d_zero_gives_poisson_tweedie(self):
-        red = reduce_special_case(validate_tdl(0.5, 1.0, 0.5, 0.0))
-        assert isinstance(red, PoissonTweedieReduction)
-        assert red.params == TdsParams(0.5, 1.0, 0.5)
+        for p in (validate_tdl(0.5, 1.0, 0.5, 0.0), validate_tdl(-1.0, 2.0, 0.3, 0.0),
+                  TdsParams(0.75, 1.5, 1.0)):
+            assert same_series(p) == ("tds", TdsParams(p.a, p.b, p.c))
 
     def test_c_one_gives_discrete_linnik(self):
-        red = reduce_special_case(validate_tdl(0.5, 2.0, 1.0, 0.5))
-        assert isinstance(red, DiscreteLinnikReduction)
-        assert red.params == LinnikParams(gamma=0.5, lam=2.0, delta=2.0)
+        for a, b, d in ((0.5, 2.0, 0.5), (0.25, 1.0, 3.0), (0.9, 0.7, 1.3)):
+            assert same_series(validate_tdl(a, b, 1.0, d))[0] == "dl"
+
+    def test_discrete_linnik_pair_samples_as_its_tdl_point(self):
+        # 1/d is exact at these d, so the pair's TDL member is the point itself
+        for a, b, d in ((0.5, 2.0, 0.5), (0.75, 1.0, 0.25)):
+            p = validate_tdl(a, b, 1.0, d)
+            tag, params = reduce_special_case(p)
+            got = sample_batch(tag, params, 2000, 7).values
+            want = sample_batch("tdl", p, 2000, 7).values
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_interior_point_gives_none(self):
         assert reduce_special_case(validate_tdl(0.5, 1.0, 0.5, 1.0)) is None
 
+    def test_every_pair_is_a_registered_law_and_record(self):
+        for a in (-1.0, 0.0, 0.5, 1.0):
+            for c in (0.0, 0.5, 1.0):
+                for d in (0.0, 0.5):
+                    if a <= 0 and c == 1.0:
+                        continue
+                    pair = reduce_special_case(validate_tdl(a, 1.0, c, d))
+                    if pair is not None:
+                        assert isinstance(pair[1], LAWS[pair[0]].params), pair
+
     @pytest.mark.parametrize("b,c,d", [(1.0, 0.5, 1.0), (2.0, 0.3, 0.25), (0.5, 0.9, 4.0)])
     def test_nb_reduction_reproduces_pgf_pointwise(self, b, c, d):
         p = validate_tdl(1.0, b, c, d)
-        red = reduce_special_case(p)
+        tag, params = reduce_special_case(p)
         for i in range(51):
             s = i / 50.0
-            assert abs(tdl_pgf(p, s) - nb_pgf(red.params, s)) < 1e-12
+            assert abs(tdl_pgf(p, s) - nb_pgf(params, s)) < 1e-12
