@@ -3,20 +3,22 @@
 Exit codes: 0 ok, 1 check failure, 2 domain error, 3 numerical
 instability, 4 rejection budget exceeded, 5 degenerate distribution.
 All outputs are byte-deterministic for a fixed (arguments, seed, build).
-numpy and the modules built on it are imported by the commands that use
-them, so ``--help``, ``--version`` and ``moments`` start without numpy.
+The options are built from :mod:`limits` alone, and each command imports
+what it uses in its body: the law registry, ``moments`` and ``json`` where
+it needs them, numpy only in the commands that work on arrays (``pmf``,
+``sample``, ``figure``, ``check``).  So ``--help``, ``--version`` and usage
+errors load only click, this module, :mod:`errors` and :mod:`limits`, and
+``moments`` starts without numpy.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import json
 import sys
 
 import click
 
-from . import __version__, moments as moments_mod
+from . import __version__
 from .errors import (
     DegenerateDistribution,
     DomainError,
@@ -32,8 +34,7 @@ from .errors import (
     UnknownLaw,
     UnsupportedOuterFunction,
 )
-from .laws import LAWS, sample_batch, series_pmf
-from .limits import DEFAULT_KMAX, DEFAULT_MAX_TRIES, MAX_SERIES_ORDER, TDL_ROUTES
+from .limits import DEFAULT_KMAX, DEFAULT_MAX_TRIES, LAW_TAGS, MAX_SERIES_ORDER, TDL_ROUTES
 
 EXIT_CHECK_FAILURE = 1
 EXIT_DOMAIN = 2
@@ -75,6 +76,8 @@ def map_errors(fn):
 
 def _law_params(law: str, flags: dict):
     """The params record of ``law``, filled from its flags in field order."""
+    from .laws import LAWS
+
     entry = LAWS[law]
     for name in entry.flags:
         if flags[name] is None:
@@ -86,7 +89,7 @@ def _law_params(law: str, flags: dict):
 def law_options(fn):
     """The shared law/parameter flag pool."""
     decorators = [
-        click.option("--law", type=click.Choice(tuple(LAWS)), default="tdl", show_default=True),
+        click.option("--law", type=click.Choice(LAW_TAGS), default="tdl", show_default=True),
         click.option("-a", "a", type=float, default=None, help="tail exponent (tdl/tds)"),
         click.option("-b", "b", type=float, default=None, help="scale (tdl/tds)"),
         click.option("-c", "c", type=float, default=None, help="tempering in [0,1] (tdl/tds)"),
@@ -127,6 +130,8 @@ def main():
 @map_errors
 def cmd_pmf(law, kmax, use_oracle, fmt, out, **flags):
     """Tabulate P(X = k) for k = 0..kmax with a tail-mass footer."""
+    from .laws import LAWS, series_pmf
+
     if not LAWS[law].is_count:
         raise DomainError(f"law {law!r} is continuous; no probability mass function")
     params = _law_params(law, flags)
@@ -150,6 +155,9 @@ def cmd_pmf(law, kmax, use_oracle, fmt, out, **flags):
             stream.write(f"{k},{_fmt(pk)},{_fmt(cum)}\n")
         stream.write(f"tail,{_fmt(table.tail_mass)},{_fmt(1.0)}\n")
     else:
+        import dataclasses
+        import json
+
         payload = {
             "law": table.law,
             "params": dataclasses.asdict(params),
@@ -178,6 +186,8 @@ def cmd_sample(law, n, seed, stream, route, max_tries, out, **flags):
     """Draw n variates (newline-delimited; deterministic for a fixed seed)."""
     import numpy as np
 
+    from .laws import sample_batch
+
     params = _law_params(law, flags)
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**63))
@@ -189,7 +199,7 @@ def cmd_sample(law, n, seed, stream, route, max_tries, out, **flags):
     values = batch.values if np.issubdtype(batch.values.dtype, np.integer) else (
         batch.values.astype(float, copy=False))
     for lo in range(0, len(values), _SAMPLE_CHUNK):
-        sink.write("".join(f"{v!r}\n" for v in values[lo : lo + _SAMPLE_CHUNK].tolist()))
+        sink.write("\n".join(map(repr, values[lo : lo + _SAMPLE_CHUNK].tolist())) + "\n")
     if out:
         sink.close()
 
@@ -201,16 +211,20 @@ def cmd_sample(law, n, seed, stream, route, max_tries, out, **flags):
 @map_errors
 def cmd_moments(law, fmt, out, **flags):
     """Mean, variance, dispersion, and shape indexes of the TDL law."""
+    from .moments import tdl_moments
+
     if law not in ("tdl", "tds"):
         raise DomainError("moment formulas are provided for the tdl and tds laws only")
     params = _law_params(law, flags)
-    summary = moments_mod.tdl_moments(params)
+    summary = tdl_moments(params)
     stream = _open_out(out)
     fields = ["mu", "sigma2", "D", "m3", "m4", "alpha3", "alpha4"]
     if fmt == "csv":
         stream.write(",".join(fields) + "\n")
         stream.write(",".join(_fmt(getattr(summary, f)) for f in fields) + "\n")
     else:
+        import json
+
         stream.write(json.dumps({f: getattr(summary, f) for f in fields}, indent=2) + "\n")
     if out:
         stream.close()
@@ -277,6 +291,8 @@ def _svg_polyline(rows, width=640, height=480, margin=40) -> str:
 @map_errors
 def cmd_figure(preset, a, b, c_min, c_max, d_min, d_max, grid_c, grid_d, fmt, out):
     """(alpha3, alpha4) parametric trace over a (c, d) grid."""
+    from .moments import skew_kurt_trace
+
     if preset is not None:
         cfg = FIGURE_PRESETS[preset]
         a, b = cfg["a"], cfg["b"]
@@ -289,7 +305,7 @@ def cmd_figure(preset, a, b, c_min, c_max, d_min, d_max, grid_c, grid_d, fmt, ou
     if clipped:
         # grid the clipped range so d = 0 itself is swept
         d_range = (0.0, d_range[1])
-    rows = moments_mod.skew_kurt_trace(a, b, c_range, d_range, (grid_c, grid_d))
+    rows = skew_kurt_trace(a, b, c_range, d_range, (grid_c, grid_d))
     stream = _open_out(out)
     if fmt == "svg":
         stream.write(_svg_polyline(rows))

@@ -1,7 +1,10 @@
-"""Defaults, caps and route names that the CLI reads to build its options.
+"""Defaults, caps, route names and law tags that the CLI reads to build its
+options.
 
-They live apart from :mod:`analytic`, :mod:`oracle` and :mod:`sampler`,
-which re-export them, so that building the options imports no numpy.
+They live apart from the modules that use them, so that building the
+options imports neither numpy nor the law registry.  :mod:`analytic`,
+:mod:`oracle` and :mod:`sampler` re-export the defaults and caps;
+``LAW_TAGS`` is the registry's key order, ``tuple(laws.LAWS)``.
 """
 
 #: default table size for PMF evaluation (CLI exposes an override)
@@ -15,3 +18,7 @@ MAX_SERIES_ORDER = 200
 DEFAULT_MAX_TRIES = 10**6
 
 TDL_ROUTES = ("auto", "a", "b", "c", "d")
+
+#: the tags of :data:`laws.LAWS`, in registry order: the CLI's ``--law`` choices
+LAW_TAGS = ("tdl", "tds", "dl", "ds", "ps", "tps", "pl", "tpl", "nb", "sibuya", "gds",
+            "poisson", "gamma")

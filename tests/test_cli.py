@@ -39,6 +39,9 @@ def imported_modules(*args):
 
 POINT = ("-a", "0.5", "-b", "1", "-c", "0.5", "-d", "1")
 
+#: modules that --help, --version, usage errors and a bare import do not load
+NOT_AT_START = {"numpy", "tdlinnik.laws", "tdlinnik.params", "tdlinnik.moments", "decimal", "json"}
+
 
 class TestPmfCommand:
     def test_geometric_csv(self, runner):
@@ -150,6 +153,15 @@ class TestSampleCommand:
         assert res.exit_code == 0
         values = sample_batch(law, params, n, 5).values
         assert res.output == "".join(f"{fmt(v)}\n" for v in values)
+
+    @pytest.mark.parametrize("law, flags", [
+        ("tdl", "-a -1 -b 1 -c 0.9 -d 0.5"),
+        ("ps", "--gamma 0.5 --lambda 1"),
+    ])
+    def test_zero_draws_print_nothing(self, runner, law, flags):
+        res = invoke(runner, "sample", "--law", law, *flags.split(), "-n", "0", "--seed", "5")
+        assert res.exit_code == 0
+        assert res.output == ""
 
     def test_route_flag(self, runner):
         res = invoke(
@@ -394,27 +406,38 @@ class TestStartup:
         assert run_python("-c", code).stdout.strip() == "[]"
 
     @pytest.mark.parametrize(
-        "args, code",
+        "args, code, absent",
         [
-            (("-m", "tdlinnik", "--help"), 0),
-            (("-m", "tdlinnik", "--version"), 0),
-            (("-m", "tdlinnik", "moments", *POINT, "--format", "json"), 0),
-            (("-m", "tdlinnik", "moments", *POINT, "--format", "csv"), 0),
-            (("-m", "tdlinnik", "moments", "-a", "0.5", "-c", "0.5", "-d", "1"), 2),
-            (("-c", "import tdlinnik"), 0),
+            (("-m", "tdlinnik", "--help"), 0, NOT_AT_START),
+            (("-m", "tdlinnik", "--version"), 0, NOT_AT_START),
+            (("-m", "tdlinnik", "pmf", "--bogus"), 2, NOT_AT_START),
+            (("-c", "import tdlinnik.cli"), 0, NOT_AT_START),
+            (("-m", "tdlinnik", "moments", *POINT, "--format", "json"), 0, {"numpy"}),
+            (("-m", "tdlinnik", "moments", *POINT, "--format", "csv"), 0, {"numpy"}),
+            (("-m", "tdlinnik", "moments", "-a", "0.5", "-c", "0.5", "-d", "1"), 2, {"numpy"}),
+            (("-c", "import tdlinnik"), 0, NOT_AT_START),
         ],
-        ids=["help", "version", "moments-json", "moments-csv", "moments-missing-b", "import"],
+        ids=["help", "version", "usage-error", "import-cli", "moments-json", "moments-csv",
+             "moments-missing-b", "import"],
     )
-    def test_starts_without_numpy(self, args, code):
+    def test_starts_without_numpy(self, args, code, absent):
+        # --help, --version and usage errors build the options from limits
+        # alone; every command but the array ones starts without numpy
         returncode, modules = imported_modules(*args)
         assert returncode == code
-        assert "numpy" not in modules
+        assert not modules & absent
 
     def test_pmf_loads_numpy(self):
         # the positive control: the import log does name numpy when it loads
         returncode, modules = imported_modules("-m", "tdlinnik", "pmf", "--kmax", "5", *POINT)
         assert returncode == 0
         assert "numpy" in modules
+
+    def test_moments_loads_the_law_records(self):
+        # the positive control of the start-up set: a command loads the records
+        returncode, modules = imported_modules("-m", "tdlinnik", "moments", *POINT)
+        assert returncode == 0
+        assert "tdlinnik.params" in modules
 
     def test_series_pmf_does_not_load_the_sampler(self):
         returncode, modules = imported_modules(

@@ -24,6 +24,7 @@ from tdlinnik import (
 )
 from tdlinnik.cli import main
 from tdlinnik.laws import LAWS
+from tdlinnik.limits import LAW_TAGS
 
 #: per law, the CLI flags and the params record they must build; distinct
 #: values per field, so a flag wired to the wrong field changes the law
@@ -52,6 +53,15 @@ COUNT_LAWS = [tag for tag, law in LAWS.items() if law.is_count]
 def test_family_has_thirteen_laws_eight_of_them_count_laws():
     assert set(LAWS) == set(CASES)
     assert COUNT_LAWS == ["tdl", "tds", "dl", "ds", "nb", "sibuya", "gds", "poisson"]
+
+
+def test_cli_law_choices_are_the_registry_tags_in_order():
+    # the CLI builds its --law choices without importing the registry, and
+    # the subcommand --help texts print them in this order
+    assert LAW_TAGS == tuple(LAWS)
+    for command in ("pmf", "sample", "moments"):
+        (option,) = [p for p in main.commands[command].params if p.name == "law"]
+        assert tuple(option.type.choices) == LAW_TAGS, command
 
 
 MEMBER_LAWS = [tag for tag, law in LAWS.items() if law.member]
