@@ -25,7 +25,7 @@ _EXPORTS = {
     "errors": ("DegenerateDistribution", "DomainError", "EmptyGrid", "HeavyTailOverflow",
                "IncompatibleRoute", "InsufficientSample", "NumericalInstability",
                "RejectionBudgetExceeded", "SingularComposition", "TailTooHeavy", "TdlError",
-               "UnknownLaw", "UnsupportedOuterFunction"),
+               "UnknownLaw"),
     "laws": ("family_laplace", "family_pgf", "reduce_special_case", "sample_batch",
              "series_pmf"),
     "moments": ("MomentSummary", "moments_from_pmf", "skew_kurt_trace", "tdl_moments"),

@@ -13,9 +13,10 @@ and tempered discrete Linnik laws are the finite sums
                    C_{a,m}(k)
 
 Both are specializations of the same coefficient form with outer function
-exp(x) resp. x^(-1/d); see :func:`general_pmf_coefficient_form`.  The
-TDS law is the d = 0 member of the TDL family (a :class:`TdsParams`
-record reads d as 0), so :func:`tdl_pgf`, :func:`tdl_pmf` and
+exp(x) resp. x^(-1/d); see :func:`general_pmf_coefficient_form`, which
+takes the outer function as the registry records it: a real ``power``, or
+None for exp.  The TDS law is the d = 0 member of the TDL family (a
+:class:`TdsParams` record reads d as 0), so :func:`tdl_pgf`, :func:`tdl_pmf` and
 :func:`build_pmf_table` each have one body for both laws, branching on
 d only where the outer function changes; ``tds_pgf`` and ``tds_pmf`` are
 other names for the first two.
@@ -42,11 +43,7 @@ from typing import Union
 import numpy as np
 
 from .coeffs import CoeffTable, _abs_binom_sequence, build_table
-from .errors import (
-    DomainError,
-    NumericalInstability,
-    UnsupportedOuterFunction,
-)
+from .errors import DomainError, NumericalInstability
 from .limits import DEFAULT_KMAX  # noqa: F401  (re-exported)
 from .params import (
     GammaParams,
@@ -251,14 +248,13 @@ def _finalize_pmf(law: str, params, raw: np.ndarray) -> PmfTable:
 
 
 def general_pmf_coefficient_form(
-    outer: str,
     alpha: float,
     beta: float,
     gamma: float,
     phi_damp: float,
     k: int,
     *,
-    power_exponent: float | None = None,
+    power: float | None = None,
     table: CoeffTable | None = None,
 ) -> float:
     """P(X = k) for a law with p.g.f. phi(alpha + beta (1 - phi_damp*s)^gamma).
@@ -268,22 +264,16 @@ def general_pmf_coefficient_form(
         (-phi_damp)^k sum_{m=0}^{k} (-beta)^m / m! * phi^(m)(alpha+beta)
                       * C_{gamma,m}(k)
 
-    with ``outer`` selecting phi: ``"exp"`` or ``"power"`` (x^power_exponent,
-    the exponent passed separately).  Derivative factors are accumulated by
-    term ratios, so no factorial or binomial overflows occur.
+    with phi(x) = x^power, or exp(x) where ``power`` is None, the encoding
+    of the registry's family coordinates.  Derivative factors are
+    accumulated by term ratios, so no factorial or binomial overflows occur.
     """
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     if not 0.0 <= phi_damp <= 1.0:
         raise DomainError(f"phi_damp must lie in [0, 1], got {phi_damp}")
-    if outer not in ("exp", "power"):
-        raise UnsupportedOuterFunction(
-            f"outer must be 'exp' or 'power', got {outer!r}"
-        )
-    if outer == "power" and power_exponent is None:
-        raise UnsupportedOuterFunction("outer 'power' needs power_exponent")
     x = alpha + beta
-    if outer == "power" and x <= 0:
+    if power is not None and x <= 0:
         raise DomainError(f"power outer needs alpha + beta > 0, got {x}")
     if table is None:
         table = build_table(gamma, k)
@@ -291,15 +281,15 @@ def general_pmf_coefficient_form(
         raise DomainError("coefficient table does not cover (gamma, k)")
 
     # term_m = (-beta)^m / m! * phi^(m)(x), advanced by its ratio
-    term = math.exp(x) if outer == "exp" else x**power_exponent
+    term = math.exp(x) if power is None else x**power
     total = 0.0
     col = table.values[: k + 1, k]
     for m in range(k + 1):
         total += term * col[m]
-        if outer == "exp":
+        if power is None:
             term *= -beta / (m + 1)
         else:
-            term *= -beta * (power_exponent - m) / ((m + 1) * x)
+            term *= -beta * (power - m) / ((m + 1) * x)
     return (-phi_damp) ** k * total
 
 
@@ -317,13 +307,10 @@ def tdl_pmf(p: Union[TdlParams, TdsParams], k: int, table: CoeffTable | None = N
     s = sgn(p.a)
     omc = _pow_one_minus(p.c, p.a)
     if p.d == 0:
-        outer, alpha, beta, power = "exp", s * p.b * omc, -s * p.b, None
+        alpha, beta, power = s * p.b * omc, -s * p.b, None
     else:
-        outer, alpha, beta, power = "power", 1.0 - s * p.b * p.d * omc, s * p.b * p.d, -1.0 / p.d
-    val = general_pmf_coefficient_form(
-        outer, alpha=alpha, beta=beta, gamma=p.a, phi_damp=p.c, k=k,
-        power_exponent=power, table=table,
-    )
+        alpha, beta, power = 1.0 - s * p.b * p.d * omc, s * p.b * p.d, -1.0 / p.d
+    val = general_pmf_coefficient_form(alpha, beta, p.a, p.c, k, power=power, table=table)
     return min(max(val, 0.0), 1.0)
 
 

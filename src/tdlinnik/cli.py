@@ -32,7 +32,6 @@ from .errors import (
     TailTooHeavy,
     TdlError,
     UnknownLaw,
-    UnsupportedOuterFunction,
 )
 from .limits import DEFAULT_KMAX, DEFAULT_MAX_TRIES, LAW_TAGS, MAX_SERIES_ORDER, TDL_ROUTES
 
@@ -46,7 +45,7 @@ _EXIT_CODES = (
     (DegenerateDistribution, EXIT_DEGENERATE),
     ((RejectionBudgetExceeded, HeavyTailOverflow), EXIT_REJECTION),
     ((NumericalInstability, SingularComposition, TailTooHeavy, InsufficientSample), EXIT_NUMERICAL),
-    ((DomainError, UnknownLaw, UnsupportedOuterFunction, IncompatibleRoute, EmptyGrid), EXIT_DOMAIN),
+    ((DomainError, UnknownLaw, IncompatibleRoute, EmptyGrid), EXIT_DOMAIN),
 )
 
 #: values formatted and written per stdout write by ``sample``

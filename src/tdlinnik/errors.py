@@ -2,7 +2,8 @@
 
 Every failure mode raised by this package derives from :class:`TdlError`,
 so callers can catch one base class at API boundaries (the CLI maps the
-subclasses onto exit codes).
+subclasses onto exit codes).  An outer function is a real power or None
+for exp, so none is malformed; a sampler input numpy would reject is typed.
 """
 
 
@@ -18,10 +19,6 @@ class UnknownLaw(TdlError, ValueError):
     """The requested distribution tag is not part of the family."""
 
 
-class UnsupportedOuterFunction(TdlError, ValueError):
-    """The outer function of the coefficient-form PMF is not exp or a power."""
-
-
 class NumericalInstability(TdlError, ArithmeticError):
     """A computed probability left [0, 1] by more than the abort threshold."""
 
@@ -35,7 +32,7 @@ class TailTooHeavy(TdlError):
 
 
 class HeavyTailOverflow(TdlError):
-    """A heavy-tailed draw exceeded the support cap for integer sampling."""
+    """A heavy-tailed draw, or a Poisson or NB intensity, passed its sampling cap."""
 
 
 class RejectionBudgetExceeded(TdlError):

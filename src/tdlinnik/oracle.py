@@ -30,7 +30,7 @@ import math
 import operator
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .errors import (
     InsufficientSample,
     NumericalInstability,
     SingularComposition,
-    UnsupportedOuterFunction,
 )
 from .limits import MAX_SERIES_ORDER  # noqa: F401  (re-exported)
 
@@ -49,8 +48,6 @@ if TYPE_CHECKING:
 
 #: working precision (significant decimal digits) for series arithmetic
 ORACLE_DPS = 40
-
-OuterTag = Union[str, tuple]
 
 
 def _context(digits: int) -> decimal.Context:
@@ -129,13 +126,13 @@ def series_binomial_power(c: float, a: float, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def series_compose_outer(inner: TruncatedSeries, outer: OuterTag) -> TruncatedSeries:
-    """Taylor coefficients of phi(inner(s)) for phi = exp or a real power.
+def series_compose_outer(inner: TruncatedSeries, power=None) -> TruncatedSeries:
+    """Taylor coefficients of phi(inner(s)) for phi(x) = x^power (a float,
+    int or Decimal), or exp(x) where ``power`` is None, as the registry has it.
 
-    ``outer`` is ``"exp"`` or ``("power", p)``.  Powers use Miller's
-    recurrence b_n = (1/(n a_0)) sum_j (j(p+1) - n) a_j b_{n-j}, which
-    requires the constant term a_0 to sit strictly inside the analyticity
-    domain (a_0 > 0); a branch-point constant term raises
+    Powers use Miller's recurrence b_n = (1/(n a_0)) sum_j (j(p+1) - n) a_j b_{n-j},
+    which requires the constant term a_0 to sit strictly inside the
+    analyticity domain (a_0 > 0); a branch-point constant term raises
     :class:`SingularComposition`.  Each inner sum runs over j <= m, the
     degree of the last nonzero a_j: the terms it drops are exact zeros.
     """
@@ -146,27 +143,25 @@ def series_compose_outer(inner: TruncatedSeries, outer: OuterTag) -> TruncatedSe
         # each inner sum is one _dot of the inner terms j = 1..m against the
         # history b_{n-1}, b_{n-2}, ..., newest first; _dot stops where the
         # shorter list ends, so the sum runs over j <= min(n, m)
-        if outer == "exp":
+        if power is None:
             ja = [j * a[j] for j in range(1, m + 1)]
             b_rev = [a[0].exp()]
             for n in range(1, order + 1):
                 b_rev.insert(0, _dot(ja, b_rev) / n)
             return TruncatedSeries(tuple(reversed(b_rev)))
-        if isinstance(outer, tuple) and len(outer) == 2 and outer[0] == "power":
-            p = Decimal(outer[1])
-            if a[0] <= 0:
-                raise SingularComposition(
-                    f"power composition needs a positive constant term, got {a[0]}"
-                )
-            # (j(p+1) - n) a_j b_{n-j} = (p j a_j) b_{n-j} + a_j (-(n-j) b_{n-j}),
-            # so the history interleaves b_k and -k b_k
-            terms = [t for j in range(1, m + 1) for t in (p * j * a[j], a[j])]
-            hist = [a[0] ** p, Decimal(0)]
-            for n in range(1, order + 1):
-                bn = _dot(terms, hist) / (n * a[0])
-                hist[:0] = (bn, -n * bn)
-            return TruncatedSeries(tuple(hist[-2::-2]))
-    raise UnsupportedOuterFunction(f"outer must be 'exp' or ('power', p), got {outer!r}")
+        p = Decimal(power)
+        if a[0] <= 0:
+            raise SingularComposition(
+                f"power composition needs a positive constant term, got {a[0]}"
+            )
+        # (j(p+1) - n) a_j b_{n-j} = (p j a_j) b_{n-j} + a_j (-(n-j) b_{n-j}),
+        # so the history interleaves b_k and -k b_k
+        terms = [t for j in range(1, m + 1) for t in (p * j * a[j], a[j])]
+        hist = [a[0] ** p, Decimal(0)]
+        for n in range(1, order + 1):
+            bn = _dot(terms, hist) / (n * a[0])
+            hist[:0] = (bn, -n * bn)
+        return TruncatedSeries(tuple(hist[-2::-2]))
 
 
 def _family_series(a: float, c: float, beta, power, order: int) -> TruncatedSeries:
@@ -181,10 +176,10 @@ def _family_series(a: float, c: float, beta, power, order: int) -> TruncatedSeri
     inner = series_binomial_power(c, a, order)
     u = inner.shifted_constant(-(1 - Decimal(c)) ** Decimal(a)).scaled(beta)
     if power is None:
-        return series_compose_outer(u, "exp")
+        return series_compose_outer(u)
     if power == 1:
         return u.shifted_constant(1)
-    return series_compose_outer(u.shifted_constant(1), ("power", power))
+    return series_compose_outer(u.shifted_constant(1), power)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ exceeds ``max_tries``.
 
 Poisson, Gamma and negative binomial primitives are delegated
 to numpy's Generator; their correctness is enforced by the goodness-of-fit
-suite rather than by pinning a particular classical algorithm.  The Sibuya
+suite rather than by pinning a particular classical algorithm; an intensity
+past their cap raises :class:`HeavyTailOverflow` first.  The Sibuya
 law is drawn exactly in O(1) per variate through its beta-mixed geometric
 representation: P(X > k | W) = W^k with W ~ Beta(1-gamma, gamma), so
 X = ceil(log(U) / log(W)).  (Sequential inversion of the pmf recurrence
@@ -99,8 +100,8 @@ GDS_TABLE_MAX = 1 << 17
 #: jumps drawn at a time by the GDS-Sibuya compound samplers
 JUMP_BLOCK = 1 << 20
 
-#: numpy's Poisson generator rejects intensities above roughly 2^63 * 1e-1;
-#: anything near that is a heavy-tail blowup we surface as a typed error
+#: numpy's Poisson and NB generators reject an intensity (NB: a mean) above about
+#: 9.22e18; anything near that is a heavy-tail blowup we surface as a typed error
 _POISSON_LAM_CAP = 9.0e18
 
 
@@ -155,8 +156,16 @@ class SampleBatch:
 
 
 def _nb_vec(gen: np.random.Generator, pi, delta, n: int | None = None) -> np.ndarray:
-    """Negative binomial NB(pi, delta) draws; numpy's p is the 1-pi convention."""
-    return gen.negative_binomial(delta, 1.0 - np.asarray(pi), size=n)
+    """Negative binomial NB(pi, delta) draws; numpy's p is the 1-pi convention.
+    A mean delta pi/(1-pi) past the cap, 1-pi = 0 included, raises first."""
+    q = 1.0 - np.asarray(pi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mean = delta * (pi / q)
+    if not np.all(mean <= _POISSON_LAM_CAP):
+        raise HeavyTailOverflow(
+            f"negative binomial mean exceeded the generator cap {_POISSON_LAM_CAP:g}"
+        )
+    return gen.negative_binomial(delta, q, size=n)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +345,7 @@ def _tps_vec(
     if gamma == 0.0:
         return np.zeros(n)
     if gamma < 0.0:
-        counts = gen.poisson(lam * theta**gamma)
+        counts = _poisson_mix(gen, lam * theta**gamma)
         return gen.gamma(shape=-gamma * counts, scale=1.0 / theta)
     if theta == 0.0 or gamma == 1.0:
         return _ps_vec(gen, gamma, lam, n)
@@ -372,14 +381,13 @@ def _tps_vec(
 # the discrete hierarchy
 
 
-def _poisson_mix(gen: np.random.Generator, t: np.ndarray) -> np.ndarray:
-    """Poisson(t) draws for mixing intensities t, guarded against blowups."""
+def _poisson_mix(gen: np.random.Generator, t, n: int | None = None) -> np.ndarray:
+    """Poisson(t) draws for intensities t, guarded against blowups."""
     if np.any(t > _POISSON_LAM_CAP):
         raise HeavyTailOverflow(
-            "Poisson mixing intensity exceeded the generator cap "
-            f"{_POISSON_LAM_CAP:g} (heavy-tailed mixture draw)"
+            f"Poisson intensity exceeded the generator cap {_POISSON_LAM_CAP:g}"
         )
-    return gen.poisson(t)
+    return gen.poisson(t, size=n)
 
 
 def _compound_jumps(gen: np.random.Generator, p: TdlParams | TdsParams, n: int,
@@ -464,7 +472,7 @@ def _sample_nb(gen, p: NegativeBinomialParams, n, route, max_tries):
 
 
 def _sample_poisson(gen, p: PoissonParams, n, route, max_tries):
-    return gen.poisson(p.lam, size=n)
+    return _poisson_mix(gen, p.lam, n)
 
 
 def _sample_gamma(gen, p: GammaParams, n, route, max_tries):

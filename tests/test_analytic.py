@@ -19,7 +19,6 @@ from tdlinnik import (
     TemperedLinnikParams,
     TemperedStableParams,
     UnknownLaw,
-    UnsupportedOuterFunction,
     build_pmf_table,
     build_table,
     family_laplace,
@@ -255,7 +254,6 @@ class TestGeneralCoefficientForm:
         q = TdsParams(a, b, c)
         for k in (0, 1, 5, 9):
             got = general_pmf_coefficient_form(
-                "exp",
                 alpha=-b * (1 - c) ** a,
                 beta=b,
                 gamma=a,
@@ -269,31 +267,20 @@ class TestGeneralCoefficientForm:
         p = TdlParams(a, b, c, d)
         for k in (0, 1, 4, 8):
             got = general_pmf_coefficient_form(
-                "power",
                 alpha=1 - b * d * (1 - c) ** a,
                 beta=b * d,
                 gamma=a,
                 phi_damp=c,
                 k=k,
-                power_exponent=-1 / d,
+                power=-1 / d,
             )
             assert got == pytest.approx(tdl_pmf(p, k), rel=1e-13, abs=0)
 
     def test_k_zero_is_outer_at_constant(self):
         got = general_pmf_coefficient_form(
-            "exp", alpha=0.3, beta=-0.8, gamma=0.5, phi_damp=0.5, k=0
+            alpha=0.3, beta=-0.8, gamma=0.5, phi_damp=0.5, k=0
         )
         assert got == pytest.approx(math.exp(-0.5), rel=1e-15, abs=0)
-
-    def test_unsupported_outer(self):
-        with pytest.raises(UnsupportedOuterFunction):
-            general_pmf_coefficient_form(
-                "log", alpha=1.0, beta=0.5, gamma=0.5, phi_damp=0.5, k=1
-            )
-        with pytest.raises(UnsupportedOuterFunction):
-            general_pmf_coefficient_form(
-                "power", alpha=1.0, beta=0.5, gamma=0.5, phi_damp=0.5, k=1
-            )
 
 
 class TestBuildPmfTable:

@@ -218,6 +218,19 @@ class TestSampleCommand:
             "error: positive stable draw overflowed double precision (gamma = 0.001)\n"
         )
 
+    @pytest.mark.parametrize("args, message", [
+        (("--law", "tds", "-a", "-2", "-b", "1e5", "-c", "0.9999999"),
+         "Poisson intensity exceeded the generator cap 9e+18"),
+        (("--law", "poisson", "--lambda", "1e19"),
+         "Poisson intensity exceeded the generator cap 9e+18"),
+    ])
+    def test_intensity_past_the_generator_cap_exits_4_with_one_error_line(self, args, message):
+        out = run_python("-m", "tdlinnik", "sample", *args, "-n", "3", "--seed", "1",
+                         check=False)
+        assert out.returncode == 4
+        assert out.stdout == ""
+        assert out.stderr == f"error: {message}\n"
+
     def test_small_gamma_route_a_samples(self, runner):
         res = runner.invoke(main, ["sample", "--law", "tdl", "-a", "0.01", "-b", "1", "-c", "0.5",
                                    "-d", "0", "--route", "a", "-n", "10000", "--seed", "1"])

@@ -5,8 +5,15 @@ extremes (b from 1e-4 to 1e5, c within 1e-7 of 0 and 1, a in {+-1e-3,
 0.999, 1}, d = 0 or up to 1e3), and extreme points of the other six count
 laws go through every analytic front end.  Each call must return or raise
 a ``TdlError`` subclass, print no warning, and take at most about ten
-times the median call of its front end on its law.  Sampling is not swept
-yet: at large b its work per draw has no bound (ROADMAP item 5).
+times the median call of its front end on its law.
+
+The sampling half holds ``sample_batch`` to the same rule wherever its work
+per draw is bounded today: every route at a < 0 (b uncapped), route a at
+a > 0 (its tempering rejection is budgeted by ``max_tries``), the default
+route at c = 1, and every law without routes at extreme points.  Route d,
+and the default route where it resolves to d (0 < a <= 1, c < 1), draw
+every jump, so their work grows with b and they are left out until that
+is bounded (ROADMAP item 5).
 """
 
 import dataclasses
@@ -19,6 +26,7 @@ import numpy as np
 from click.testing import CliRunner
 
 from tdlinnik import (
+    GammaParams,
     GdsSibuyaParams,
     LinnikParams,
     NegativeBinomialParams,
@@ -28,8 +36,11 @@ from tdlinnik import (
     TdlError,
     TdlParams,
     TdsParams,
+    TemperedLinnikParams,
+    TemperedStableParams,
     build_pmf_table,
     moments_from_pmf,
+    sample_batch,
     series_pmf,
     tdl_moments,
 )
@@ -47,6 +58,9 @@ SLOWDOWN, FLOOR_S = 10.0, 0.02
 _ALPHA = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0]) % 1.0
 A_EXTREMES = (-1e-3, 1e-3, 0.999, 1.0)
 
+#: draws per sample_batch call and the rejection budget of each
+N_DRAWS, MAX_TRIES = 1000, 100
+
 #: the points where build_pmf_table once raised a raw OverflowError
 TDL_FIXED = [TdlParams(-2.6, 0.245, 0.9999998, 0.0), TdlParams(-1.54, 34582.0, 0.99998, 0.0)]
 
@@ -60,6 +74,22 @@ OTHER_LAWS = (
     + [("dl", LinnikParams(g, lam, delta))
        for g, lam, delta in itertools.product((1e-6, 1.0), (1e-9, 1e6), (1e-4, 1e5))]
     + [("ds", StableParams(g, lam)) for g, lam in itertools.product((1e-6, 1.0), (1e-9, 1e6))]
+)
+
+#: extreme points of the positive laws, which only sampling sweeps
+POSITIVE_LAWS = (
+    [("ps", StableParams(g, lam)) for g, lam in itertools.product((1e-6, 0.5, 1.0), (1e-9, 1e6))]
+    + [("pl", LinnikParams(g, lam, delta))
+       for g, lam, delta in itertools.product((1e-6, 0.5, 1.0), (1e-9, 1e6), (1e-4, 1e5))]
+    + [("tps", TemperedStableParams(g, lam, theta))
+       for g, lam, theta in itertools.product((-3.0, -1e-3, 1e-3, 0.5, 1.0), (1e-9, 1e6),
+                                              (1e-9, 1.0, 1e6))]
+    + [("tps", TemperedStableParams(g, 1.0, 0.0)) for g in (1e-3, 0.5, 1.0)]
+    + [("tpl", TemperedLinnikParams(g, lam, theta, delta))
+       for g, lam, theta, delta in itertools.product((-3.0, 1e-3, 0.5), (1e-9, 1e6),
+                                                     (1e-9, 1e6), (1e-4, 1e5))]
+    + [("gamma", GammaParams(scale, shape))
+       for scale, shape in itertools.product((1e-9, 1.0, 1e6), (1e-9, 1.0, 1e6))]
 )
 
 
@@ -107,19 +137,9 @@ def cli_pmf(tag, params):
     return res.exit_code
 
 
-def test_every_call_returns_or_fails_typed_in_bounded_time():
-    calls = []  # (front end, law, call)
-    for p in tdl_points(SEED, N_TDL):
-        tag = "tds" if isinstance(p, TdsParams) else "tdl"
-        calls += [
-            ("build_pmf_table", tag, (build_pmf_table, p, KMAX)),
-            ("series_pmf", tag, (series_pmf, tag, p, ORDER)),
-            ("tdl_moments", tag, (tdl_moments, p)),
-            ("cli pmf", tag, (cli_pmf, tag, p)),
-        ]
-    calls += [("series_pmf", tag, (series_pmf, tag, p, ORDER)) for tag, p in OTHER_LAWS]
-    calls += [("cli pmf", tag, (cli_pmf, tag, p)) for tag, p in OTHER_LAWS]
-
+def assert_bounded(calls):
+    """Time each (front end, law, call); no call may take more than SLOWDOWN
+    times the median of its front end on its law."""
     times = {}
     for front, tag, call in calls:
         seconds, out = timed(*call)
@@ -135,3 +155,35 @@ def test_every_call_returns_or_fails_typed_in_bounded_time():
                 # timed once more, so that one preemption alone fails nothing
                 seconds = min(seconds, timed(*call)[0])
             assert seconds <= bound, (key, call[1:], seconds, bound)
+
+
+def draw(tag, params, route):
+    return sample_batch(tag, params, N_DRAWS, SEED, route=route, max_tries=MAX_TRIES)
+
+
+def test_every_call_returns_or_fails_typed_in_bounded_time():
+    calls = []  # (front end, law, call)
+    for p in tdl_points(SEED, N_TDL):
+        tag = "tds" if isinstance(p, TdsParams) else "tdl"
+        calls += [
+            ("build_pmf_table", tag, (build_pmf_table, p, KMAX)),
+            ("series_pmf", tag, (series_pmf, tag, p, ORDER)),
+            ("tdl_moments", tag, (tdl_moments, p)),
+            ("cli pmf", tag, (cli_pmf, tag, p)),
+        ]
+    calls += [("series_pmf", tag, (series_pmf, tag, p, ORDER)) for tag, p in OTHER_LAWS]
+    calls += [("cli pmf", tag, (cli_pmf, tag, p)) for tag, p in OTHER_LAWS]
+    assert_bounded(calls)
+
+
+def test_every_draw_returns_or_fails_typed_in_bounded_time():
+    calls = []
+    for p in tdl_points(SEED, N_TDL):
+        tag = "tds" if isinstance(p, TdsParams) else "tdl"
+        if p.a < 0:
+            routes = ("auto", "a", "b", "c")
+        else:
+            routes = ("a", "auto") if p.c == 1 else ("a",)
+        calls += [(f"sample_batch route {r}", tag, (draw, tag, p, r)) for r in routes]
+    calls += [("sample_batch", tag, (draw, tag, p, "auto")) for tag, p in OTHER_LAWS + POSITIVE_LAWS]
+    assert_bounded(calls)

@@ -19,7 +19,6 @@ from tdlinnik import (
     TdlParams,
     TdsParams,
     UnknownLaw,
-    UnsupportedOuterFunction,
     chi_square_gof,
     empirical_pgf,
     sample_batch,
@@ -41,15 +40,16 @@ def poisson_pmf(lam, kmax):
     return np.array([math.exp(-lam) * lam**k / math.factorial(k) for k in range(kmax + 1)])
 
 
-def mp_miller(a, outer, order):
-    """Miller's recurrence for exp or a power of the mpf series ``a``, in
-    mpmath at the ambient working precision, each inner sum one mp.fdot."""
-    if outer == "exp":
+def mp_miller(a, power, order):
+    """Miller's recurrence for the power ``power`` (exp where None) of the mpf
+    series ``a``, in mpmath at the ambient working precision, each inner sum
+    one mp.fdot."""
+    if power is None:
         b = [mp.e ** a[0]]
         for n in range(1, order + 1):
             b.append(mp.fdot([j * a[j] for j in range(1, n + 1)], b[::-1]) / n)
         return b
-    p = mp.mpf(outer[1])
+    p = mp.mpf(power)
     b = [a[0] ** p]
     for n in range(1, order + 1):
         terms = [(j * (p + 1) - n) * a[j] for j in range(1, n + 1)]
@@ -107,12 +107,12 @@ class TestSeriesBasics:
 class TestComposeOuter:
     def test_exp_of_zero_series(self):
         zero = TruncatedSeries(tuple(map(float, [0, 0, 0, 0])))
-        out = series_compose_outer(zero, "exp")
+        out = series_compose_outer(zero)
         assert out.to_floats() == pytest.approx([1, 0, 0, 0], abs=0)
 
     def test_power_minus_one_is_geometric(self):
         inner = TruncatedSeries((1.5, -0.5, 0.0, 0.0, 0.0))
-        out = series_compose_outer(inner, ("power", -1.0)).to_floats()
+        out = series_compose_outer(inner, -1.0).to_floats()
         want = (2 / 3) * (1 / 3) ** np.arange(5)
         assert out == pytest.approx(want, rel=1e-14, abs=0)
 
@@ -126,18 +126,18 @@ class TestComposeOuter:
     def test_power_then_inverse_power_roundtrip(self):
         for d in (0.5, 1.0, 4.0):
             inner = TruncatedSeries(tuple(1.7 * 0.4**k * (-1) ** k for k in range(12)))
-            once = series_compose_outer(inner, ("power", -1.0 / d))
-            back = series_compose_outer(once, ("power", -d))
+            once = series_compose_outer(inner, -1.0 / d)
+            back = series_compose_outer(once, -d)
             assert back.to_floats() == pytest.approx(inner.to_floats(), rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("outer", ["exp", ("power", -1.0 / 0.3), ("power", 2.5)])
-    def test_matches_naive_miller_loop_at_order_60(self, outer):
+    @pytest.mark.parametrize("power", [None, -1.0 / 0.3, 2.5], ids=["exp", "outer1", "outer2"])
+    def test_matches_naive_miller_loop_at_order_60(self, power):
         inner = series_binomial_power(0.95, -1.5, 60)
         with decimal.localcontext(decimal.Context(prec=ORACLE_DPS)):
             c0 = 1 + Decimal(0.3) * Decimal(0.05) ** Decimal(-1.5)
             u = inner.scaled(-0.3).shifted_constant(c0)
             a = u.coeffs
-            if outer == "exp":
+            if power is None:
                 b = [a[0].exp()]
                 for n in range(1, 61):
                     acc = Decimal(0)
@@ -145,29 +145,29 @@ class TestComposeOuter:
                         acc += j * a[j] * b[n - j]
                     b.append(acc / n)
             else:
-                p = Decimal(outer[1])
+                p = Decimal(power)
                 b = [a[0] ** p]
                 for n in range(1, 61):
                     acc = Decimal(0)
                     for j in range(1, n + 1):
                         acc += (j * (p + 1) - n) * a[j] * b[n - j]
                     b.append(acc / (n * a[0]))
-            got = series_compose_outer(u, outer).coeffs
+            got = series_compose_outer(u, power).coeffs
             assert max(abs(x - y) / abs(y) for x, y in zip(got, b)) <= Decimal("1e-35")
 
     @pytest.mark.parametrize("order", [60, 200])
-    @pytest.mark.parametrize("outer", ["exp", ("power", -1.0 / 0.3), ("power", 2.5)])
-    def test_matches_an_mpmath_miller_recurrence(self, outer, order):
+    @pytest.mark.parametrize("power", [None, -1.0 / 0.3, 2.5], ids=["exp", "outer1", "outer2"])
+    def test_matches_an_mpmath_miller_recurrence(self, power, order):
         # the same expansion in a second arbitrary-precision engine (binary
         # mpmath at 40 digits, inner sums by mp.fdot), built from the floats
         with mp.workdps(ORACLE_DPS):
             a = [-0.3 * x for x in mp_binomial_power(0.95, -1.5, order)]
             a[0] += 1 + 0.3 * mp.mpf(0.05) ** -1.5
-            b = mp_miller(a, outer, order)
+            b = mp_miller(a, power, order)
         with decimal.localcontext(decimal.Context(prec=ORACLE_DPS)):
             c0 = 1 + Decimal(0.3) * Decimal(0.05) ** Decimal(-1.5)
         u = series_binomial_power(0.95, -1.5, order).scaled(-0.3).shifted_constant(c0)
-        got = series_compose_outer(u, outer).coeffs
+        got = series_compose_outer(u, power).coeffs
         with mp.workdps(ORACLE_DPS):
             got = [mp.mpf(str(x)) for x in got]
             assert max(abs(x - y) / abs(y) for x, y in zip(got, b)) <= mp.mpf("1e-35")
@@ -182,12 +182,7 @@ class TestComposeOuter:
     def test_singular_constant_term(self):
         inner = TruncatedSeries((0.0, 1.0, 0.5))
         with pytest.raises(SingularComposition):
-            series_compose_outer(inner, ("power", -0.5))
-
-    def test_unknown_outer(self):
-        inner = TruncatedSeries((1.0, 0.5))
-        with pytest.raises(UnsupportedOuterFunction):
-            series_compose_outer(inner, "log")
+            series_compose_outer(inner, -0.5)
 
 
 class TestSeriesPmf:
@@ -252,7 +247,7 @@ class TestSeriesPmf:
                 beta = mp.mpf(math.copysign(b, a)) * d
                 u = [beta * x for x in mp_binomial_power(c, a, 100)]
                 u[0] += 1 - beta * (1 - mp.mpf(c)) ** a
-                want = mp_miller(u, ("power", mp.mpf(-1) / d), 100)
+                want = mp_miller(u, mp.mpf(-1) / d, 100)
                 for g, w in zip(got, want):
                     f = float(w)
                     if g != f:  # allowed only at a round-half tie of two adjacent doubles

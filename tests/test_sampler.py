@@ -24,6 +24,7 @@ from tdlinnik import (
     StableParams,
     TdlParams,
     TdsParams,
+    TemperedLinnikParams,
     TemperedStableParams,
     build_pmf_table,
     chi_square_gof,
@@ -445,6 +446,35 @@ class TestTdlRoutes:
         batch = sample_batch("tdl", p, N, seed=64)
         report = chi_square_gof(batch, build_pmf_table(TdsParams(0.5, 1.0, 0.5), 200))
         assert report.p_value > 0.001
+
+
+class TestGeneratorCaps:
+    """Intensities past numpy's Poisson and negative binomial caps raise a
+    typed error, not numpy's ValueError, and no RuntimeWarning."""
+
+    @pytest.mark.parametrize("law, params, route", [
+        *[("tds", TdsParams(-2.0, 1e5, 0.9999999), r) for r in ("auto", "a", "b")],
+        *[("tdl", TdlParams(-1.0, 1e19, 0.5, 1.0), r) for r in ("auto", "a", "b", "c")],
+        ("tps", TemperedStableParams(-1.0, 1e19, 1.0), "auto"),
+        ("tpl", TemperedLinnikParams(-1.0, 1e19, 1.0, 1.0), "auto"),
+        ("poisson", PoissonParams(1e19), "auto"),
+        ("nb", NegativeBinomialParams(0.999999999, 1e15), "auto"),
+        # q / (1 + q) rounds to 1, so 1 - pi is 0
+        ("tdl", TdlParams(-3.0, 1e5, 0.999999, 1e3), "c"),
+    ])
+    def test_intensity_past_the_cap_is_a_typed_error(self, law, params, route):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HeavyTailOverflow, match="generator cap"):
+                sample_batch(law, params, 5, seed=1, route=route)
+
+    def test_nb_just_below_the_cap_draws(self):
+        # mean 8.9e18 < 9e18
+        params = NegativeBinomialParams(0.5, 8.9e18)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = sample_batch("nb", params, 5, seed=1).values
+        assert (values > 8e18).all()
 
 
 class TestOtherLaws:
