@@ -29,8 +29,8 @@ _EXPORTS = {
     "laws": ("family_laplace", "family_pgf", "reduce_special_case", "sample_batch",
              "series_pmf"),
     "moments": ("MomentSummary", "moments_from_pmf", "skew_kurt_trace", "tdl_moments"),
-    "oracle": ("GofReport", "TruncatedSeries", "chi_square_gof", "empirical_laplace",
-               "empirical_pgf", "series_binomial_power", "series_compose_outer"),
+    "oracle": ("GofReport", "chi_square_gof", "empirical_laplace", "empirical_pgf",
+               "series_binomial_power", "series_compose_outer"),
     "params": ("GammaParams", "GdsSibuyaParams", "LinnikParams", "NegativeBinomialParams",
                "PoissonParams", "SibuyaParams", "StableParams", "TdlParams", "TdsParams",
                "TemperedLinnikParams", "TemperedStableParams", "validate_tdl"),

@@ -207,8 +207,9 @@ class PmfTable:
     """Probabilities p[0..kmax] of an integer law plus tail accounting.
 
     ``tail_mass`` is defined as 1 - sum(p), so the two always add to one
-    by construction; a tail below -1e-9 would indicate a broken build and
-    is rejected at construction time.
+    by construction; a tail below -1e-9 would indicate a broken build.
+    :func:`_finalize_pmf`, through which the package builds every table,
+    rejects one; the constructor itself checks nothing.
     """
 
     law: str

@@ -6,9 +6,9 @@ All outputs are byte-deterministic for a fixed (arguments, seed, build).
 The options are built from :mod:`limits` alone, and each command imports
 what it uses in its body: the law registry, ``moments`` and ``json`` where
 it needs them, numpy only in the commands that work on arrays (``pmf``,
-``sample``, ``figure``, ``check``).  So ``--help``, ``--version`` and usage
-errors load only click, this module, :mod:`errors` and :mod:`limits`, and
-``moments`` starts without numpy.
+``sample``, ``check``).  So ``--help``, ``--version`` and usage errors
+load only click, this module, :mod:`errors` and :mod:`limits`, and
+``moments`` and ``figure`` start without numpy.
 """
 
 from __future__ import annotations
@@ -246,12 +246,10 @@ def _svg_polyline(rows, width=640, height=480, margin=40) -> str:
     One polyline per c value (varying d), which is enough to see the
     reachable region; CSV remains the primary interchange format.
     """
-    import numpy as np
-
-    xs = np.array([r[2] for r in rows])
-    ys = np.array([r[3] for r in rows])
-    x0, x1 = xs.min(), xs.max()
-    y0, y1 = ys.min(), ys.max()
+    xs = [r[2] for r in rows]
+    ys = [r[3] for r in rows]
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
     spanx = (x1 - x0) or 1.0
     spany = (y1 - y0) or 1.0
 

@@ -2,8 +2,7 @@
 
 Every failure mode raised by this package derives from :class:`TdlError`,
 so callers can catch one base class at API boundaries (the CLI maps the
-subclasses onto exit codes).  An outer function is a real power or None
-for exp, so none is malformed; a sampler input numpy would reject is typed.
+subclasses onto exit codes).  A sampler input numpy would reject is typed.
 """
 
 

@@ -140,20 +140,23 @@ def series_pmf(law: str, params, order: int) -> PmfTable:
     """Ground-truth PMF of an integer law from its p.g.f. Taylor coefficients.
 
     Independent of the finite-sum coefficient formulas; computed in
-    decimal arithmetic and rounded to double on return: the builder runs at
+    decimal arithmetic as a tuple of ``order + 1`` :class:`Decimal` Taylor
+    coefficients, each rounded to a double on return.  The builder runs at
     ``oracle.ORACLE_DPS`` significant digits, set here once for the whole
     expansion, the law's family coordinates included, by
     :func:`oracle.precision_scope`.  ``order`` is capped at 200.  A d == 0
     TDL record gives the table of its tds law.
     """
+    import numpy as np
+
     from . import analytic, oracle
 
     if not 0 <= order <= MAX_SERIES_ORDER:
         raise DomainError(f"order must lie in [0, {MAX_SERIES_ORDER}], got {order}")
     family = _lookup(law, params, "series expansion", count=True).family
     with oracle.precision_scope():
-        raw = oracle._family_series(*family(params), order).to_floats()
-    return analytic._finalize_pmf(law, params, raw)
+        coeffs = oracle._family_series(*family(params), order)
+    return analytic._finalize_pmf(law, params, np.array([float(x) for x in coeffs]))
 
 
 def sample_batch(

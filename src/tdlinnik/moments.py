@@ -121,6 +121,15 @@ def moments_from_pmf(table: PmfTable) -> MomentSummary:
     )
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced points from lo to hi, both included, bit for bit as
+    ``numpy.linspace`` gives them: lo + i (hi - lo)/(n - 1), then hi."""
+    if n == 1:
+        return [lo]
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
 def skew_kurt_trace(
     a: float,
     b: float,
@@ -151,12 +160,9 @@ def skew_kurt_trace(
             "negative d values are out of scope and were clipped to d >= 0",
             stacklevel=2,
         )
-    import numpy as np
-
-    cs = np.linspace(c_lo, c_hi, nc)
-    ds = np.linspace(d_lo, d_hi, nd)
-    ds = ds[ds >= 0]
-    if ds.size == 0:
+    cs = _linspace(c_lo, c_hi, nc)
+    ds = [d for d in _linspace(d_lo, d_hi, nd) if d >= 0]
+    if not ds:
         raise EmptyGrid("no admissible d values after clipping to d >= 0")
     rows = []
     for c in cs:

@@ -4,16 +4,18 @@ Two oracles live here:
 
 * truncated power series in 40-digit decimal arithmetic (the standard
   library's :mod:`decimal`), used to extract PMF values directly as Taylor
-  coefficients of the generating functions.  ``series_pmf`` in :mod:`laws`
-  reads each count law's family coordinates and runs the one family
-  builder, :func:`_family_series`, inside one :func:`precision_scope`, at
-  ``ORACLE_DPS`` (40) significant digits with an unbounded exponent range;
-  the builder sets no precision of its own.  All eight count laws read
-  outer(beta ((1-cs)^a - (1-c)^a)) with outer exp or a real power: nb is
-  a = 1, Poisson a = c = 1, and the Sibuya and GDS-Sibuya jump laws are
-  the power-1 member, 1 + u itself.  Each Miller inner sum stops at the
-  inner series' last nonzero coefficient, so at a = 1, where that series
-  has degree 1, an expansion costs O(order) terms, not O(order^2).
+  coefficients of the generating functions, each series truncated at
+  order K the tuple of its :class:`Decimal` coefficients c[0..K].
+  ``series_pmf`` in :mod:`laws` reads each count law's family coordinates
+  and runs the one family builder, :func:`_family_series`, inside one
+  :func:`precision_scope`, at ``ORACLE_DPS`` (40) significant digits with
+  an unbounded exponent range; the builder sets no precision of its own.
+  All eight count laws read outer(beta ((1-cs)^a - (1-c)^a)) with outer
+  exp or a real power: nb is a = 1, Poisson a = c = 1, and the Sibuya and
+  GDS-Sibuya jump laws are the power-1 member, 1 + u itself.  Each Miller
+  inner sum stops at the inner series' last nonzero coefficient, so at
+  a = 1, where that series has degree 1, an expansion costs O(order)
+  terms, not O(order^2).
   This path shares nothing with the finite-sum evaluation it checks:
   powers and exponentials of series are expanded by the classical
   coefficient recurrences (J.C.P. Miller), so it is strictly more accurate
@@ -71,48 +73,7 @@ def _dot(xs, ys) -> Decimal:
         return sum(map(operator.mul, xs, ys), Decimal(0))
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients c[0..K] of a power series truncated at order K.
-
-    Coefficients are :class:`Decimal` (ints and floats convert exactly);
-    arithmetic on two series carries the smaller truncation order and runs
-    at ``ORACLE_DPS``, whatever the ambient decimal context.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(map(Decimal, self.coeffs)))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        k = min(self.order, other.order)
-        with precision_scope():
-            return TruncatedSeries(
-                tuple(a + b for a, b in zip(self.coeffs[: k + 1], other.coeffs[: k + 1]))
-            )
-
-    def scaled(self, factor) -> "TruncatedSeries":
-        with precision_scope():
-            f = Decimal(factor)
-            return TruncatedSeries(tuple(f * c for c in self.coeffs))
-
-    def shifted_constant(self, constant) -> "TruncatedSeries":
-        """Add a constant to the series (affects only the 0th coefficient)."""
-        with precision_scope():
-            c0 = self.coeffs[0] + Decimal(constant)
-        return TruncatedSeries((c0,) + self.coeffs[1:])
-
-    def to_floats(self) -> np.ndarray:
-        """The coefficients, each correctly rounded to a double."""
-        return np.array([float(c) for c in self.coeffs])
-
-
-def series_binomial_power(c: float, a: float, order: int) -> TruncatedSeries:
+def series_binomial_power(c: float, a: float, order: int) -> tuple[Decimal, ...]:
     """Taylor series of (1 - c s)^a: coefficients binom(a, k) (-c)^k."""
     if not abs(c) <= 1.0:
         raise DomainError(f"|c| must be <= 1, got {c}")
@@ -123,21 +84,24 @@ def series_binomial_power(c: float, a: float, order: int) -> TruncatedSeries:
         out = [Decimal(1)]
         for k in range(order):
             out.append(out[-1] * ncm * (am - k) / (k + 1))
-    return TruncatedSeries(tuple(out))
+    return tuple(out)
 
 
-def series_compose_outer(inner: TruncatedSeries, power=None) -> TruncatedSeries:
+def series_compose_outer(inner, power=None) -> tuple[Decimal, ...]:
     """Taylor coefficients of phi(inner(s)) for phi(x) = x^power (a float,
     int or Decimal), or exp(x) where ``power`` is None, as the registry has it.
 
-    Powers use Miller's recurrence b_n = (1/(n a_0)) sum_j (j(p+1) - n) a_j b_{n-j},
+    ``inner`` is any sequence of numbers, each converted exactly by
+    ``Decimal(x)``; the result has as many coefficients, computed at
+    ``ORACLE_DPS`` whatever the ambient decimal context.  Powers use
+    Miller's recurrence b_n = (1/(n a_0)) sum_j (j(p+1) - n) a_j b_{n-j},
     which requires the constant term a_0 to sit strictly inside the
     analyticity domain (a_0 > 0); a branch-point constant term raises
     :class:`SingularComposition`.  Each inner sum runs over j <= m, the
     degree of the last nonzero a_j: the terms it drops are exact zeros.
     """
-    order = inner.order
-    a = inner.coeffs
+    a = tuple(map(Decimal, inner))
+    order = len(a) - 1
     m = max((j for j, x in enumerate(a) if x), default=0)
     with precision_scope():
         # each inner sum is one _dot of the inner terms j = 1..m against the
@@ -148,7 +112,7 @@ def series_compose_outer(inner: TruncatedSeries, power=None) -> TruncatedSeries:
             b_rev = [a[0].exp()]
             for n in range(1, order + 1):
                 b_rev.insert(0, _dot(ja, b_rev) / n)
-            return TruncatedSeries(tuple(reversed(b_rev)))
+            return tuple(reversed(b_rev))
         p = Decimal(power)
         if a[0] <= 0:
             raise SingularComposition(
@@ -161,25 +125,27 @@ def series_compose_outer(inner: TruncatedSeries, power=None) -> TruncatedSeries:
         for n in range(1, order + 1):
             bn = _dot(terms, hist) / (n * a[0])
             hist[:0] = (bn, -n * bn)
-        return TruncatedSeries(tuple(hist[-2::-2]))
+        return tuple(hist[-2::-2])
 
 
-def _family_series(a: float, c: float, beta, power, order: int) -> TruncatedSeries:
-    """Taylor series of the family p.g.f. form at the current precision.
+def _family_series(a: float, c: float, beta, power, order: int) -> list | tuple:
+    """Taylor coefficients of the family p.g.f. form at the current precision.
 
     With u = beta ((1-cs)^a - (1-c)^a), it expands exp(u) when ``power`` is
     None and (1 + u)^power otherwise; the constant term is exactly 0 resp.
     1 at c = 0, and c = 1 (a > 0) gives the discrete stable and Linnik laws.
-    At power 1 the series is 1 + u itself: Miller's recurrence needs a
-    positive constant term, and the Sibuya law has P(0) = 0.
+    At power 1 the series is the list 1 + u itself: Miller's recurrence
+    needs a positive constant term, and the Sibuya law has P(0) = 0.
     """
-    inner = series_binomial_power(c, a, order)
-    u = inner.shifted_constant(-(1 - Decimal(c)) ** Decimal(a)).scaled(beta)
+    beta = Decimal(beta)
+    u = [beta * x for x in series_binomial_power(c, a, order)]
+    u[0] = beta * (1 - (1 - Decimal(c)) ** Decimal(a))
     if power is None:
         return series_compose_outer(u)
+    u[0] += 1
     if power == 1:
-        return u.shifted_constant(1)
-    return series_compose_outer(u.shifted_constant(1), power)
+        return u
+    return series_compose_outer(u, power)
 
 
 # ---------------------------------------------------------------------------

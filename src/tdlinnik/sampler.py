@@ -45,7 +45,8 @@ exceeds ``max_tries``.
 Poisson, Gamma and negative binomial primitives are delegated
 to numpy's Generator; their correctness is enforced by the goodness-of-fit
 suite rather than by pinning a particular classical algorithm; an intensity
-past their cap raises :class:`HeavyTailOverflow` first.  The Sibuya
+past their cap raises :class:`HeavyTailOverflow` first, and so does a
+Gamma law's draw past double precision.  The Sibuya
 law is drawn exactly in O(1) per variate through its beta-mixed geometric
 representation: P(X > k | W) = W^k with W ~ Beta(1-gamma, gamma), so
 X = ceil(log(U) / log(W)).  (Sequential inversion of the pmf recurrence
@@ -345,7 +346,12 @@ def _tps_vec(
     if gamma == 0.0:
         return np.zeros(n)
     if gamma < 0.0:
-        counts = _poisson_mix(gen, lam * theta**gamma)
+        # theta^gamma and the intensity may overflow to inf, which
+        # _poisson_mix refuses; it refuses the nan of a zero scale times an
+        # inf theta^gamma too, although that draw would be 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            intensity = lam * np.float64(theta) ** gamma
+        counts = _poisson_mix(gen, intensity)
         return gen.gamma(shape=-gamma * counts, scale=1.0 / theta)
     if theta == 0.0 or gamma == 1.0:
         return _ps_vec(gen, gamma, lam, n)
@@ -383,7 +389,7 @@ def _tps_vec(
 
 def _poisson_mix(gen: np.random.Generator, t, n: int | None = None) -> np.ndarray:
     """Poisson(t) draws for intensities t, guarded against blowups."""
-    if np.any(t > _POISSON_LAM_CAP):
+    if not np.all(t <= _POISSON_LAM_CAP):
         raise HeavyTailOverflow(
             f"Poisson intensity exceeded the generator cap {_POISSON_LAM_CAP:g}"
         )
@@ -476,4 +482,9 @@ def _sample_poisson(gen, p: PoissonParams, n, route, max_tries):
 
 
 def _sample_gamma(gen, p: GammaParams, n, route, max_tries):
-    return gen.gamma(shape=p.shape, scale=p.scale, size=n)
+    x = gen.gamma(shape=p.shape, scale=p.scale, size=n)
+    if not np.isfinite(x).all():
+        raise HeavyTailOverflow(
+            f"gamma draw overflowed double precision (scale = {p.scale:g}, shape = {p.shape:g})"
+        )
+    return x

@@ -429,9 +429,13 @@ class TestStartup:
             (("-m", "tdlinnik", "moments", *POINT, "--format", "csv"), 0, {"numpy"}),
             (("-m", "tdlinnik", "moments", "-a", "0.5", "-c", "0.5", "-d", "1"), 2, {"numpy"}),
             (("-c", "import tdlinnik"), 0, NOT_AT_START),
+            (("-m", "tdlinnik", "figure", "--preset", "1", "--grid-c", "3", "--grid-d", "3"),
+             0, {"numpy"}),
+            (("-m", "tdlinnik", "figure", "--preset", "4", "--grid-c", "3", "--grid-d", "3",
+              "--format", "svg"), 0, {"numpy"}),
         ],
         ids=["help", "version", "usage-error", "import-cli", "moments-json", "moments-csv",
-             "moments-missing-b", "import"],
+             "moments-missing-b", "import", "figure-csv", "figure-svg"],
     )
     def test_starts_without_numpy(self, args, code, absent):
         # --help, --version and usage errors build the options from limits

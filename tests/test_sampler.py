@@ -468,6 +468,28 @@ class TestGeneratorCaps:
             with pytest.raises(HeavyTailOverflow, match="generator cap"):
                 sample_batch(law, params, 5, seed=1, route=route)
 
+    @pytest.mark.parametrize("law, params", [
+        # lam theta^gamma = 1e310 overflows the product
+        ("tps", TemperedStableParams(-1.0, 1e300, 1e-10)),
+        ("tpl", TemperedLinnikParams(-1.0, 1e300, 1e-10, 1.0)),
+        # theta^gamma = 1e600 overflows the power
+        ("tps", TemperedStableParams(-3.0, 1.0, 1e-200)),
+        ("tpl", TemperedLinnikParams(-3.0, 1.0, 1e-200, 1.0)),
+        # Gamma(1e-10) mixture scales underflow to 0, and 0 * inf is nan
+        ("tpl", TemperedLinnikParams(-3.0, 1.0, 1e-200, 1e10)),
+    ])
+    def test_tempered_intensity_overflow_is_a_typed_error(self, law, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HeavyTailOverflow, match="generator cap"):
+                sample_batch(law, params, 5, seed=1)
+
+    def test_gamma_draw_past_double_precision_is_a_typed_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HeavyTailOverflow, match="gamma draw"):
+                sample_batch("gamma", GammaParams(1e300, 1e300), 5, seed=1)
+
     def test_nb_just_below_the_cap_draws(self):
         # mean 8.9e18 < 9e18
         params = NegativeBinomialParams(0.5, 8.9e18)
