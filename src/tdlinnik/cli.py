@@ -176,8 +176,9 @@ def cmd_pmf(law, kmax, use_oracle, fmt, out, **flags):
 @click.option("--stream", type=int, default=0, show_default=True)
 @click.option("--route", type=click.Choice(TDL_ROUTES), default="auto", show_default=True,
               help="generation identity of tdl/tds and of ds/dl, drawn as their TDL "
-                   "members (other laws take only auto); auto: route d (GDS-Sibuya "
-                   "jumps) for a > 0 and c < 1, else route a")
+                   "members (other laws take only auto); auto: route c (NB jumps) "
+                   "for a < 0, route d (GDS-Sibuya jumps) for a > 0 and c < 1, "
+                   "else route a")
 @click.option("--max-tries", type=int, default=DEFAULT_MAX_TRIES, show_default=True)
 @click.option("--out", type=click.Path(writable=True, dir_okay=False), default=None)
 @map_errors

@@ -177,10 +177,10 @@ def sample_batch(
     routes the same way), and so of the laws drawn as their members.
     Other laws have one identity and take only ``"auto"``; any other route
     raises :class:`IncompatibleRoute`.  The default ``"auto"`` has no
-    tempering rejection: for a > 0 and c < 1 it
-    is route d, a sum of GDS-Sibuya(a, c) jumps over NB counts (Poisson(b)
-    counts at d = 0), and otherwise route a, whose tempering step is a
-    Poisson sum of Gammas for a < 0 and needs no tempering at c = 1.  An
+    tempering rejection: for a < 0 it is route c, a sum of NB(c, -a) jumps
+    over NB or Poisson counts, for a > 0 and c < 1 route d, the same with
+    GDS-Sibuya(a, c) jumps, and at c = 1 route a, which needs no tempering
+    there.  An
     explicit route "a" keeps the Poisson(TPS) identity, which rejects for
     a > 0 and c < 1 and raises :class:`RejectionBudgetExceeded` after
     ``max_tries`` rounds; ``max_tries`` also bounds the expected tries per

@@ -23,24 +23,40 @@ Generation routes follow the mixture/compound identities of the family:
 * tempered discrete Linnik, with the tempered discrete stable law as its
   d = 0 member (one sampler serves both tags), on four routes and a
   default, where B = b at d = 0 and B ~ Gamma(b d, 1/d) (scale, shape)
-  otherwise:
+  otherwise, and |h| = |(1-c)^a - 1|:
     a     (any a)       Poisson(TPS(a, B c^a, 1/c - 1))
     b     (a < 0)       route a: for a < 0 its tempering step is the
                         Poisson-Gamma compound Poisson(Gamma(c/(1-c),
                         -a Poisson(B (1-c)^a))), so b names the same draws
-    c     (a < 0)       a sum of Poisson(b (1-c)^a) (d = 0) or
-                        NB(q/(1+q), 1/d) with q = b d (1-c)^a copies of NB(c, -a)
-    d     (a in (0,1])  a sum of Poisson(b) (d = 0) or NB(b d/(1+b d), 1/d)
-                        copies of GDS-Sibuya(a, c)
-    auto  route d for a in (0, 1] and c < 1, route a otherwise.
+    c     (a < 0)       a sum of Poisson(b |h|) (d = 0) or NB(q/(1+q), 1/d)
+                        with q = b d |h| jumps NB(c, -a) given > 0; above
+                        ``NEG_JUMPS_MAX`` jumps per draw, or where the jump
+                        table would pass ``GDS_TABLE_MAX``, the closed form
+                        NB(c, -a N), N ~ Poisson(b (1-c)^a) or NB with
+                        q = b d (1-c)^a
+    d     (a in (0,1])  a sum of Poisson(b |h|) or NB(q/(1+q), 1/d) with
+                        q = b d |h| jumps GDS-Sibuya(a, c) given > 0
+    auto  route c for a < 0, route d for a in (0, 1] and c < 1, route a
+          at c = 1.
 
-Route auto, the default, has no tempering rejection: route a's tempering
-step is a Poisson sum of Gammas for a < 0 and is skipped at c = 1
-(theta = 0).  Only the explicit route a (and tps, tpl) temper by
-rejection, for a > 0 and c < 1.  Both rejection steps, tempering and
-GDS-Sibuya thinning (below), know their expected tries per draw before
-they start and raise :class:`RejectionBudgetExceeded` up front when it
-exceeds ``max_tries``.
+Routes c and d draw only the non-zero jumps: of a Poisson or NB number of
+jumps with mass (1-c)^|a| at zero, the non-zero ones are a count of the
+same family thinned to mean b |h| (the (a, b, 0) primaries of Panjer's
+recursion), and they are the jump law given X > 0, with mass
+|binom(a, j)| c^j / |h| at j >= 1.  Counts and jumps are drawn by
+inverting CDF tables that are sized before any work; a count whose table
+would pass ``GDS_TABLE_MAX`` entries comes from numpy's Poisson or NB
+generator.  Route a's intensity B c^a, and B (1-c)^a of its tempering step
+for a < 0, are formed as sums of logs, so a c^a past double precision does
+not overflow an intensity of order one.
+
+Route auto, the default, has no tempering rejection: routes c and d have
+no tempering step, and route a skips it at c = 1 (theta = 0).  Only the
+explicit routes a and b (and tps, tpl) temper: by rejection for a > 0 and
+c < 1, as a Poisson sum of Gammas for a < 0.  Both rejection steps,
+tempering and GDS-Sibuya thinning (below), know their expected tries per
+draw before they start and raise :class:`RejectionBudgetExceeded` up front
+when it exceeds ``max_tries``.
 
 Poisson, Gamma and negative binomial primitives are delegated
 to numpy's Generator; their correctness is enforced by the goodness-of-fit
@@ -59,13 +75,15 @@ sequence |binom(gamma, k)| tau^k that the PMF tables use
 P(k) <= gamma tau^k and inverted while that size is at most
 ``GDS_TABLE_MAX`` entries.  Beyond it, thinning of Sibuya draws is
 cheaper: 0 with probability (1-tau)^gamma, else a Sibuya X kept with
-probability tau^X.  Compound draws take their jumps ``JUMP_BLOCK`` at a
-time, so their memory does not grow with the number of jumps.
+probability tau^X; route d's jumps take the same thinning without its
+zero step.  Compound draws take their jumps ``JUMP_BLOCK`` at a time, so
+their memory does not grow with the number of jumps.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +117,17 @@ SIBUYA_SUPPORT_CAP = 10**9
 GDS_TABLE_MAX = 1 << 17
 
 #: jumps drawn at a time by the GDS-Sibuya compound samplers
-JUMP_BLOCK = 1 << 20
+JUMP_BLOCK = 1 << 16
+
+#: route c (a < 0) draws the closed form NB(c, -a N) above this many
+#: non-zero jumps per draw, b |(1-c)^a - 1|; below it the thinned compound
+NEG_JUMPS_MAX = 4.0
+
+#: log of the mass a count or jump CDF table may leave out
+_LOG_TABLE_TAIL = math.log(1e-17)
+
+#: log of the smallest normal double
+_LOG_TINY = math.log(sys.float_info.min)
 
 #: numpy's Poisson and NB generators reject an intensity (NB: a mean) above about
 #: 9.22e18; anything near that is a heavy-tail blowup we surface as a typed error
@@ -161,7 +189,7 @@ def _nb_vec(gen: np.random.Generator, pi, delta, n: int | None = None) -> np.nda
     A mean delta pi/(1-pi) past the cap, 1-pi = 0 included, raises first."""
     q = 1.0 - np.asarray(pi)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        mean = delta * (pi / q)
+        mean = np.max(delta, initial=0.0) * (pi / q)
     if not np.all(mean <= _POISSON_LAM_CAP):
         raise HeavyTailOverflow(
             f"negative binomial mean exceeded the generator cap {_POISSON_LAM_CAP:g}"
@@ -218,6 +246,34 @@ def _gds_pmf_cdf(gamma: float, tau: float) -> np.ndarray:
     return np.cumsum(probs[: end + 1])
 
 
+def _thinning_budget(gamma: float, tau: float, max_tries: int) -> float:
+    """log (1-tau)^gamma; raises :class:`RejectionBudgetExceeded` when Sibuya
+    thinning expects more than ``max_tries`` tries per non-zero draw."""
+    log_p0 = gamma * math.log1p(-tau)
+    accept = -math.expm1(log_p0)
+    if accept * max_tries < 1.0:
+        raise RejectionBudgetExceeded(
+            f"GDS-Sibuya thinning expects {1.0 / accept:.4g} tries per draw, "
+            f"above max_tries = {max_tries} (acceptance rate 1 - (1-tau)^gamma too small)"
+        )
+    return log_p0
+
+
+def _thin_sibuya(gen: np.random.Generator, gamma: float, tau: float, m: int) -> np.ndarray:
+    """m draws of GDS-Sibuya(gamma, tau) given X > 0: Sibuya(gamma) draws X,
+    each kept with probability tau^X and redrawn until kept.  A rejected X
+    beyond the Sibuya support cap is discarded; only a kept one raises."""
+    out = np.empty(m, dtype=np.int64)
+    active = np.arange(m)
+    log_tau = math.log(tau)
+    while active.size:
+        x = _sibuya_float(gen, gamma, active.size)
+        keep = np.log(1.0 - gen.random(active.size)) <= x * log_tau
+        out[active[keep]] = _capped(x[keep])
+        active = active[~keep]
+    return out
+
+
 def _gds_sampler(gamma: float, tau: float, max_tries: int):
     """A function ``draw(gen, m)`` giving m GDS-Sibuya(gamma, tau) draws.
 
@@ -229,31 +285,19 @@ def _gds_sampler(gamma: float, tau: float, max_tries: int):
     otherwise a Sibuya X accepted with probability tau^X, redrawn until
     accepted.  The acceptance rate E[tau^X] = 1 - (1-tau)^gamma is known,
     so an expected number of tries above ``max_tries`` raises
-    :class:`RejectionBudgetExceeded` before any draw.  A rejected X beyond
-    the Sibuya support cap is discarded; only an accepted one raises.
+    :class:`RejectionBudgetExceeded` before any draw.
     """
     if tau == 1.0:
         return lambda gen, m: _capped(_sibuya_float(gen, gamma, m))
     if _gds_table_len(gamma, tau) <= GDS_TABLE_MAX:
-        cdf = _gds_pmf_cdf(gamma, tau)
-        return lambda gen, m: np.searchsorted(cdf, gen.random(m), side="right").astype(np.int64)
-    log_p0 = gamma * math.log1p(-tau)
-    accept = -math.expm1(log_p0)
-    if accept * max_tries < 1.0:
-        raise RejectionBudgetExceeded(
-            f"GDS-Sibuya thinning expects {1.0 / accept:.4g} tries per draw, "
-            f"above max_tries = {max_tries} (acceptance rate 1 - (1-tau)^gamma too small)"
-        )
-    p0, log_tau = math.exp(log_p0), math.log(tau)
+        search = _table_search(_gds_pmf_cdf(gamma, tau))
+        return lambda gen, m: search(gen.random(m))
+    p0 = math.exp(_thinning_budget(gamma, tau, max_tries))
 
     def draw(gen: np.random.Generator, m: int) -> np.ndarray:
         out = np.zeros(m, dtype=np.int64)
         active = np.flatnonzero(gen.random(m) >= p0)
-        while active.size:
-            x = _sibuya_float(gen, gamma, active.size)
-            keep = np.log(1.0 - gen.random(active.size)) <= x * log_tau
-            out[active[keep]] = _capped(x[keep])
-            active = active[~keep]
+        out[active] = _thin_sibuya(gen, gamma, tau, active.size)
         return out
 
     return draw
@@ -264,9 +308,186 @@ def _sample_gds(gen, p: GdsSibuyaParams, n: int, route=None,
     return _gds_sampler(p.gamma, p.tau, max_tries)(gen, n)
 
 
-def _compound_gds(gen: np.random.Generator, counts: np.ndarray, a: float, c: float,
-                  max_tries: int) -> np.ndarray:
-    """Sums of counts[i] GDS-Sibuya(a, c) jumps for each i.
+# ---------------------------------------------------------------------------
+# thinned compound counts: the non-zero jumps of routes c and d
+
+
+def _table_search(cdf: np.ndarray):
+    """A function ``search(u)`` giving, for each u in [0, 1), the first i
+    with u < cdf[i] (len(cdf) if there is none): inversion of a CDF table
+    whose last entry is 1, or within rounding of it.
+
+    It starts each u from a guide table of len(cdf) buckets, the first i
+    past the bucket's lower edge (Chen & Asau 1974, *AIIE Trans.* 6(2));
+    only the u whose bucket holds a table step below them take a binary
+    search.  The result equals ``np.searchsorted(cdf, u, side="right")``.
+    """
+    m = len(cdf)
+    guide = np.searchsorted(cdf, np.arange(m + 1) / m, side="right")
+    guide[-1] = m - 1  # u m may round up to m
+
+    def search(u: np.ndarray) -> np.ndarray:
+        i = np.multiply(u, m, out=np.empty(len(u), np.intp), casting="unsafe")
+        i = guide[i]
+        short = np.flatnonzero(cdf[i] <= u)
+        i[short] = np.searchsorted(cdf, u[short], side="right")
+        return i
+
+    return search
+
+
+def _table_len(log_tail) -> int | None:
+    """The smallest table length K <= ``GDS_TABLE_MAX`` whose left-out mass,
+    bounded by exp(log_tail(K)), is below 1e-17, or None if there is none.
+    log_tail must not increase with K; the search costs O(log K) calls."""
+    if not log_tail(GDS_TABLE_MAX) < _LOG_TABLE_TAIL:
+        return None
+    lo, hi = 0, GDS_TABLE_MAX
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if log_tail(mid) < _LOG_TABLE_TAIL:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _nb_log_tail(k: float, pi: float, delta: float) -> float:
+    """Log of the Chernoff bound on P(X >= k) for X ~ NB(pi, delta), k >= 1;
+    0 (the trivial bound) while k is at most the mean delta pi/(1-pi), and
+    -inf at pi = 0, a point mass at 0."""
+    if pi == 0.0:
+        return -math.inf
+    if k * (1.0 - pi) <= delta * pi:
+        return 0.0
+    return (delta * math.log1p(-pi) + k * math.log(pi)
+            + delta * math.log1p(k / delta) + k * math.log1p(delta / k))
+
+
+def _poisson_log_tail(k: float, lam: float) -> float:
+    """Log of the Chernoff bound on P(X >= k) for X ~ Poisson(lam); 0 while
+    k <= lam."""
+    return k - lam + k * (math.log(lam) - math.log(k)) if k > lam else 0.0
+
+
+def _log_jump_mass(a: float, c: float) -> float:
+    """log |h| with h = (1-c)^a - 1: the mass 1 - (1-c)^a of the non-zero
+    GDS-Sibuya(a, c) jumps for a > 0, and (1-c)^a - 1 = (1-c)^a P(X > 0)
+    for the NB(c, -a) jumps of a < 0; 0 at c = 1."""
+    if c == 1.0:
+        return 0.0
+    x = a * math.log1p(-c)
+    if x > 0:
+        return x + math.log(-math.expm1(-x))
+    return math.log(-math.expm1(x)) if x < 0 else -math.inf  # a c below the subnormals
+
+
+def _jump_cdf(a: float, c: float) -> np.ndarray | None:
+    """CDF table over j = 1, 2, ... of the non-zero jumps of routes c and d,
+    c < 1, or None where it would pass ``GDS_TABLE_MAX`` entries.
+
+    The jumps are NB(c, -a) (a < 0) or GDS-Sibuya(a, c) (a > 0) given
+    X > 0; both put mass r_j / |h| on j >= 1, with r_j = |binom(a, j)| c^j
+    and |h| = |(1-c)^a - 1| = sum of r_j.  The table is built from r_j
+    itself and normalised by its own sum, so no P(0) is ever subtracted.
+    It is sized before any work: for a > 0, r_j / |h| <= c^(j-1) leaves a
+    tail of at most c^K / (1-c) beyond K entries; for a < 0 the tail is the
+    Chernoff bound of NB(c, -a) at K + 1 over P(X > 0).
+    """
+    if a > 0:
+        log_c, log_1mc = math.log(c), math.log1p(-c)
+        size = _table_len(lambda k: k * log_c - log_1mc)
+    else:
+        log_nz = math.log(-math.expm1(-a * math.log1p(-c)))  # P(X > 0)
+        size = _table_len(lambda k: _nb_log_tail(k + 1, c, -a) - log_nz)
+    if size is None:
+        return None
+    cdf = np.cumsum(_abs_binom_sequence(a, size, damp=c)[1:])
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _jump_sampler(a: float, c: float, max_tries: int):
+    """A function ``draw(gen, m)`` giving m non-zero jumps of routes c and d
+    by inverting :func:`_jump_cdf`, or None where a < 0 and that table
+    would be too long.  Past it, a > 0 thins Sibuya draws (budgeted as in
+    :func:`_gds_sampler`); at c = 1 the jumps are Sibuya(a) draws.
+    """
+    if c == 1.0:
+        return lambda gen, m: _capped(_sibuya_float(gen, a, m))
+    cdf = _jump_cdf(a, c)
+    if cdf is not None:
+        search = _table_search(cdf)
+
+        def draw(gen: np.random.Generator, m: int) -> np.ndarray:
+            j = search(gen.random(m))
+            j += 1
+            return j
+
+        return draw
+    if a < 0:
+        return None
+    _thinning_budget(a, c, max_tries)
+    return lambda gen, m: _thin_sibuya(gen, a, c, m)
+
+
+def _count_cdf(mean: float, d: float) -> np.ndarray | None:
+    """CDF table over k = 0, 1, ... of the Poisson(mean) (d = 0) or
+    NB(q/(1+q), 1/d) (d > 0, q = d mean) count, the (a, b, 0) primaries of
+    Panjer's recursion, or None where no table is drawn from.
+
+    The table follows P(k)/P(k-1) = A + B/k from P(0) = 1 and is normalised
+    by its own sum.  It is used while its length, sized before any work by
+    the Chernoff bound of the count's tail, is at most ``GDS_TABLE_MAX``
+    and its P(0) is a normal double, so that the running product cannot
+    overflow.
+    """
+    if not mean > 0.0:
+        return None
+    if d == 0:
+        log_p0, A, B = -mean, 0.0, mean
+        size = _table_len(lambda k: _poisson_log_tail(k + 1, mean))
+    else:
+        q, delta = d * mean, 1.0 / d
+        pi = q / (1.0 + q)
+        log_p0, A, B = -delta * math.log1p(q), pi, pi * (delta - 1.0)
+        size = _table_len(lambda k: _nb_log_tail(k + 1, pi, delta))
+    if size is None or log_p0 < _LOG_TINY:
+        return None
+    cdf = np.empty(size + 1)
+    cdf[0] = 1.0
+    cdf[1:] = A + B / np.arange(1.0, size + 1)
+    np.cumprod(cdf, out=cdf)
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _nonzero_counts(gen: np.random.Generator, log_mean: float, d: float,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and values of the non-zero draws among n counts of mean
+    exp(log_mean), Poisson at d = 0 and NB(q/(1+q), 1/d) with q = d mean
+    at d > 0: :func:`_count_cdf` inverted where it has a table, numpy's
+    generators behind the cap otherwise."""
+    with np.errstate(over="ignore"):
+        mean = float(np.exp(log_mean))
+    cdf = _count_cdf(mean, d)
+    if cdf is None:
+        if d == 0:
+            counts = _poisson_mix(gen, mean, n)
+        else:
+            q = d * mean
+            counts = _nb_vec(gen, q / (1.0 + q), 1.0 / d, n)
+        nz = np.flatnonzero(counts)
+        return nz, counts[nz]
+    u = gen.random(n)
+    nz = np.flatnonzero(u >= cdf[0])
+    u = u[nz]  # the batch-sized uniforms are freed before the search
+    return nz, _table_search(cdf)(u)
+
+
+def _compound(gen: np.random.Generator, counts: np.ndarray, draw) -> np.ndarray:
+    """Sums of counts[i] jumps ``draw(gen, m)`` for each i.
 
     The jumps are drawn in order, at most ``JUMP_BLOCK`` at a time from the
     one generator, so memory stays bounded whatever the total; each block
@@ -275,16 +496,15 @@ def _compound_gds(gen: np.random.Generator, counts: np.ndarray, a: float, c: flo
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
     at_ends = np.zeros(len(counts), dtype=np.int64)  # sum of all jumps before each end
-    if total:
-        draw = _gds_sampler(a, c, max_tries)
-        carry = 0
-        for lo in range(0, total, JUMP_BLOCK):
-            hi = min(lo + JUMP_BLOCK, total)
-            csum = np.cumsum(draw(gen, hi - lo))
-            csum += carry
-            i0, i1 = np.searchsorted(ends, (lo, hi), side="right")
-            at_ends[i0:i1] = csum[ends[i0:i1] - lo - 1]
-            carry = int(csum[-1])
+    carry = 0
+    for lo in range(0, total, JUMP_BLOCK):
+        hi = min(lo + JUMP_BLOCK, total)
+        csum = draw(gen, hi - lo)
+        np.cumsum(csum, out=csum)
+        csum += carry
+        i0, i1 = np.searchsorted(ends, (lo, hi), side="right")
+        at_ends[i0:i1] = csum[ends[i0:i1] - lo - 1]
+        carry = int(csum[-1])
     return np.diff(at_ends, prepend=0)
 
 
@@ -333,6 +553,17 @@ def _ps_vec(gen: np.random.Generator, gamma: float, lam, n: int) -> np.ndarray:
     return x
 
 
+def _poisson_gamma(gen: np.random.Generator, gamma: float, log_t: np.ndarray,
+                   theta: float) -> np.ndarray:
+    """Gamma(-gamma N, 1/theta) draws (shape, scale) with N ~ Poisson(exp(log_t)),
+    for gamma < 0: the tempered positive stable law as a compound Poisson
+    of Gammas.  log_t is overwritten; an intensity past the Poisson cap
+    raises, and log_t = -inf gives 0."""
+    with np.errstate(over="ignore"):
+        counts = _poisson_mix(gen, np.exp(log_t, out=log_t))
+    return gen.gamma(shape=-gamma * counts, scale=1.0 / theta)
+
+
 def _tps_vec(
     gen: np.random.Generator,
     gamma: float,
@@ -346,13 +577,12 @@ def _tps_vec(
     if gamma == 0.0:
         return np.zeros(n)
     if gamma < 0.0:
-        # theta^gamma and the intensity may overflow to inf, which
-        # _poisson_mix refuses; it refuses the nan of a zero scale times an
-        # inf theta^gamma too, although that draw would be 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            intensity = lam * np.float64(theta) ** gamma
-        counts = _poisson_mix(gen, intensity)
-        return gen.gamma(shape=-gamma * counts, scale=1.0 / theta)
+        # the intensity lam theta^gamma as a sum of logs: a zero scale gives
+        # log 0 = -inf and so a zero draw, whatever theta^gamma is
+        with np.errstate(divide="ignore"):
+            log_t = np.log(lam)
+        log_t += gamma * math.log(theta)
+        return _poisson_gamma(gen, gamma, log_t, theta)
     if theta == 0.0 or gamma == 1.0:
         return _ps_vec(gen, gamma, lam, n)
     out = np.empty(n)
@@ -398,22 +628,34 @@ def _poisson_mix(gen: np.random.Generator, t, n: int | None = None) -> np.ndarra
 
 def _compound_jumps(gen: np.random.Generator, p: TdlParams | TdsParams, n: int,
                     max_tries: int) -> np.ndarray:
-    """Routes c and d: sums of a Poisson (d = 0) or NB(q/(1+q), 1/d)
-    (d > 0) number of jumps with mean b w, where q = b d w.  The jumps are
-    NB(c, -a) with w = (1-c)^a for a < 0, and GDS-Sibuya(a, c) with w = 1
-    for a > 0."""
-    w = (1.0 - p.c) ** p.a if p.a < 0 else 1.0
-    if p.d == 0:
-        counts = _poisson_mix(gen, np.full(n, p.b * w))
+    """Routes c and d: sums of the non-zero jumps of each draw.
+
+    Of a Poisson(b) (d = 0) or NB(q/(1+q), 1/d) (d > 0, q = b d) number of
+    GDS-Sibuya(a, c) jumps (a > 0), or of Poisson(b (1-c)^a) or NB with
+    q = b d (1-c)^a NB(c, -a) jumps (a < 0), the non-zero ones are a count
+    of the same family with mean b |h|, |h| = |(1-c)^a - 1|: the count is
+    thinned.  Both counts and jumps come from :func:`_nonzero_counts` and
+    :func:`_jump_sampler`.  For a < 0, above ``NEG_JUMPS_MAX`` non-zero
+    jumps per draw, or where the jump table would be too long, the closed
+    form NB(c, -a N) of the unthinned count N is cheaper.
+    """
+    log_b = math.log(p.b)
+    log_jumps = log_b + _log_jump_mass(p.a, p.c)
+    if log_jumps == -math.inf:
+        return np.zeros(n, dtype=np.int64)
+    draw = None
+    if p.a > 0 or log_jumps <= math.log(NEG_JUMPS_MAX):
+        draw = _jump_sampler(p.a, p.c, max_tries)
+    if draw is None:
+        nz, counts = _nonzero_counts(gen, log_b + p.a * math.log1p(-p.c), p.d, n)
+        shapes = -p.a * counts
+        del counts  # freed before the NB draw, like the uniforms of the counts
+        values = _nb_vec(gen, p.c, shapes)
     else:
-        q = p.b * p.d * w
-        counts = _nb_vec(gen, q / (1.0 + q), 1.0 / p.d, n)
-    if p.a > 0:
-        return _compound_gds(gen, counts, p.a, p.c, max_tries)
+        nz, counts = _nonzero_counts(gen, log_jumps, p.d, n)
+        values = _compound(gen, counts, draw)
     out = np.zeros(n, dtype=np.int64)
-    nz = counts > 0
-    if np.any(nz):
-        out[nz] = _nb_vec(gen, p.c, -p.a * counts[nz])
+    out[nz] = values
     return out
 
 
@@ -436,16 +678,28 @@ def _sample_tdl(
     if route == "d" and not 0.0 < p.a <= 1.0:
         raise IncompatibleRoute(f"route 'd' requires a in (0, 1], got a = {p.a}")
     if route == "auto":
-        route = "d" if p.a > 0 and p.c < 1 else "a"
+        route = "c" if p.a < 0 else "d" if p.c < 1 else "a"
     if route in ("c", "d"):
         return _compound_jumps(gen, p, n, max_tries)
     # routes a and b: Poisson(TPS(a, B c^a, 1/c - 1)) with B = b at d = 0
-    # and B ~ Gamma(b d, 1/d) otherwise, c^a folded into the Gamma scale
+    # and B ~ Gamma(b d, 1/d) otherwise, formed in logs: B c^a, or for a < 0
+    # the tempering intensity B c^a theta^a = B (1-c)^a, may pass double
+    # precision in a factor although the product does not
     if p.d == 0:
-        lam = p.b * p.c**p.a
+        log_lam = np.full(n, math.log(p.b))
     else:
-        lam = gen.gamma(shape=1.0 / p.d, scale=p.b * p.d * p.c**p.a, size=n)
-    return _poisson_mix(gen, _tps_vec(gen, p.a, lam, 1.0 / p.c - 1.0, n, max_tries))
+        log_lam = gen.gamma(shape=1.0 / p.d, size=n)
+        with np.errstate(divide="ignore"):
+            np.log(log_lam, out=log_lam)
+        log_lam += math.log(p.b) + math.log(p.d)
+    theta = 1.0 / p.c - 1.0
+    if p.a < 0:
+        log_lam += p.a * math.log1p(-p.c)
+        return _poisson_mix(gen, _poisson_gamma(gen, p.a, log_lam, theta))
+    log_lam += p.a * math.log(p.c)
+    with np.errstate(over="ignore"):
+        lam = np.exp(log_lam, out=log_lam)
+    return _poisson_mix(gen, _tps_vec(gen, p.a, lam, theta, n, max_tries))
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ a ``TdlError`` subclass, print no warning, and take at most about ten
 times the median call of its front end on its law.
 
 The sampling half holds ``sample_batch`` to the same rule wherever its work
-per draw is bounded today: every route at a < 0 (b uncapped), route a at
+per draw is bounded today, on this sample and on the whole float box (a
+from -50 to 0.999, b and d out to 1e-300 and 1e300, c within 1e-300 of 0
+and 1e-12 of 1): every route at a < 0 (b uncapped), route a at
 a > 0 (its tempering rejection is budgeted by ``max_tries``), the default
 route at c = 1, and every law without routes at extreme points.  Route d,
 and the default route where it resolves to d (0 < a <= 1, c < 1), draw
-every jump, so their work grows with b and they are left out until that
-is bounded (ROADMAP item 5).
+every non-zero jump, so their work grows with b and they are left out
+until that is bounded (ROADMAP item 6).
 """
 
 import dataclasses
@@ -161,6 +163,17 @@ def draw(tag, params, route):
     return sample_batch(tag, params, N_DRAWS, SEED, route=route, max_tries=MAX_TRIES)
 
 
+#: the whole float box on the sampling routes: exponents near the ends of
+#: double precision and c next to 0 and 1 (a <= 0 needs c < 1)
+FLOAT_BOX = [
+    TdlParams(a, b, c, d)
+    for a, b, c, d in itertools.product(
+        (-50.0, -10.0, -3.5, 1e-3, 0.999), (1e-300, 1e-10, 1e10, 1e300),
+        (1e-300, 1e-7, 0.5, 1.0 - 1e-12, 1.0), (0.0, 1e-300, 1e300))
+    if a > 0 or c < 1
+]
+
+
 def test_every_call_returns_or_fails_typed_in_bounded_time():
     calls = []  # (front end, law, call)
     for p in tdl_points(SEED, N_TDL):
@@ -186,4 +199,18 @@ def test_every_draw_returns_or_fails_typed_in_bounded_time():
             routes = ("a", "auto") if p.c == 1 else ("a",)
         calls += [(f"sample_batch route {r}", tag, (draw, tag, p, r)) for r in routes]
     calls += [("sample_batch", tag, (draw, tag, p, "auto")) for tag, p in OTHER_LAWS + POSITIVE_LAWS]
+    assert_bounded(calls)
+
+
+def test_every_draw_on_the_float_box_returns_or_fails_typed_in_bounded_time():
+    # route a forms B c^a, and B (1-c)^a for a < 0, as sums of logs, so a
+    # factor past double precision (c^a = 1e15000 at a = -50, c = 1e-300)
+    # no longer overflows where the product does not
+    calls = []
+    for p in FLOAT_BOX:
+        if p.a < 0:
+            routes = ("auto", "a", "b", "c")
+        else:
+            routes = ("a", "auto") if p.c == 1 else ("a",)
+        calls += [(f"sample_batch route {r}", "tdl", (draw, "tdl", p, r)) for r in routes]
     assert_bounded(calls)

@@ -6,6 +6,7 @@ import time
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -41,10 +42,12 @@ from tdlinnik import sampler
 from tdlinnik.sampler import (
     DEFAULT_MAX_TRIES,
     GDS_TABLE_MAX,
-    _compound_gds,
+    _compound,
+    _count_cdf,
     _gds_pmf_cdf,
-    _gds_sampler,
     _gds_table_len,
+    _jump_cdf,
+    _jump_sampler,
 )
 
 import test_acceptance
@@ -242,13 +245,13 @@ class TestCompoundGds:
     def test_blocks_match_one_pass(self, monkeypatch):
         # jumps drawn in blocks of 7 sum as one pass over all of them does
         counts = np.array([0, 3, 0, 0, 12, 1, 7, 0, 25, 2, 0])
-        ref = RngStream(81).generator
-        jumps = _gds_sampler(0.5, 0.9, DEFAULT_MAX_TRIES)(ref, int(counts.sum()))
+        draw = _jump_sampler(0.5, 0.9, DEFAULT_MAX_TRIES)
+        jumps = draw(RngStream(81).generator, int(counts.sum()))
         csum = np.concatenate(([0], np.cumsum(jumps)))
         ends = np.cumsum(counts)
         want = csum[ends] - csum[ends - counts]
         monkeypatch.setattr(sampler, "JUMP_BLOCK", 7)
-        got = _compound_gds(RngStream(81).generator, counts, 0.5, 0.9, DEFAULT_MAX_TRIES)
+        got = _compound(RngStream(81).generator, counts, draw)
         np.testing.assert_array_equal(got, want)
 
     def test_route_d_memory_is_bounded(self):
@@ -268,6 +271,109 @@ class TestCompoundGds:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
         assert int(out.stdout) < 100 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def _zero_truncated(law, params, order, p0):
+    """CDF over k = 1..order of the series law given X > 0; p0 = P(0) in mpmath."""
+    p = series_pmf(law, params, order).p[1:]
+    return np.array([float(x) for x in np.cumsum([mp.mpf(v) for v in p]) / (1 - p0)])
+
+
+class TestThinnedCompound:
+    """Routes c and d draw a thinned count of non-zero jumps: a Poisson or NB
+    count of mean b |(1-c)^a - 1| and zero-truncated NB(c, -a) or
+    GDS-Sibuya(a, c) jumps, both by inverting CDF tables."""
+
+    @pytest.mark.parametrize("a, c", [
+        (0.5, 1e-7), (0.3, 0.5), (0.9, 0.95), (1.0, 0.3),
+        (-1.0, 1e-7), (-0.5, 0.5), (-2.5, 0.9),
+    ])
+    def test_jump_cdf_matches_series_given_nonzero(self, a, c):
+        cdf = _jump_cdf(a, c)
+        m = min(len(cdf), 200)
+        with mp.workdps(40):
+            if a > 0:
+                want = _zero_truncated("gds", GdsSibuyaParams(a, c), 200,
+                                       (1 - mp.mpf(c)) ** mp.mpf(a))
+            else:
+                want = _zero_truncated("nb", NegativeBinomialParams(c, -a), 200,
+                                       (1 - mp.mpf(c)) ** mp.mpf(-a))
+        np.testing.assert_allclose(cdf[:m], want[:m], rtol=1e-13, atol=0)
+        assert cdf[-1] == 1.0
+
+    @pytest.mark.parametrize("mean, d", [
+        (1e-7, 0.0), (0.3, 0.0), (4.0, 0.0), (40.0, 0.0),
+        (1e-7, 1.0), (0.3, 0.5), (4.0, 2.0), (40.0, 0.1),
+    ])
+    def test_count_cdf_matches_closed_form(self, mean, d):
+        cdf = _count_cdf(mean, d)
+        with mp.workdps(30):
+            if d == 0:
+                want = [mp.gammainc(k + 1, mean, mp.inf, regularized=True)
+                        for k in range(len(cdf))]
+            else:
+                q, delta = mp.mpf(d) * mean, 1 / mp.mpf(d)
+                want = [mp.betainc(delta, k + 1, 0, 1 / (1 + q), regularized=True)
+                        for k in range(len(cdf))]
+        np.testing.assert_allclose(cdf, [float(w) for w in want], rtol=1e-12, atol=0)
+        # the table leaves out less than 1e-17 of the mass
+        assert 1.0 - float(want[-1]) < 1e-16
+
+    @pytest.mark.parametrize("a", [-0.5, 0.5])
+    @pytest.mark.parametrize("c", [0.02, 0.95])
+    @pytest.mark.parametrize("d", [0.0, 1.0])
+    @pytest.mark.parametrize("route", ["named", "auto"])
+    def test_gof(self, a, c, d, route):
+        # two non-zero jumps per draw on average; at a < 0 below the
+        # crossover to the closed form, so the thinned compound draws them
+        b = 2.0 / abs((1 - c) ** a - 1)
+        p = TdlParams(a, b, c, d)
+        named = "c" if a < 0 else "d"
+        batch = sample_batch("tdl", p, N, seed=69, route=named if route == "named" else "auto")
+        report = chi_square_gof(batch, build_pmf_table(p, 400))
+        assert report.p_value > 0.001
+
+    @pytest.mark.parametrize("p", [
+        TdlParams(-1.5, 2.0, 0.95, 1.0), TdlParams(-1.0, 300.0, 0.05, 0.0),
+    ])
+    def test_closed_form_above_the_crossover_gof(self, p):
+        assert p.b * abs((1 - p.c) ** p.a - 1) > sampler.NEG_JUMPS_MAX
+        batch = sample_batch("tdl", p, N, seed=70, route="c")
+        report = chi_square_gof(batch, build_pmf_table(p, 400))
+        assert report.p_value > 0.001
+
+    @pytest.mark.parametrize("p", [
+        TdlParams(-1.0, 1.0, 0.5, 1.0), TdlParams(-0.5, 3.0, 0.05, 0.0),
+        TdlParams(0.5, 1.0, 0.5, 1.0), TdlParams(0.75, 2.0, 0.9, 0.0),
+    ])
+    def test_auto_is_the_compound_route(self, p):
+        named = "c" if p.a < 0 else "d"
+        np.testing.assert_array_equal(
+            sample_batch("tdl", p, 1000, seed=71).values,
+            sample_batch("tdl", p, 1000, seed=71, route=named).values,
+        )
+
+    @pytest.mark.parametrize("law, p, spied", [
+        # Poisson(2e5) counts of GDS-Sibuya jumps, NB counts with q = 2e8
+        ("tds", TdsParams(0.5, 2e5 / (1 - 0.5**0.5), 0.5), "_poisson_mix"),
+        ("tdl", TdlParams(0.5, 2.0 / (1 - 0.5**0.5), 0.5, 1e8), "_nb_vec"),
+    ])
+    def test_count_past_the_table_max_draws_from_numpy(self, law, p, spied, monkeypatch):
+        mean = p.b * (1 - (1 - p.c) ** p.a)
+        assert _count_cdf(mean, p.d) is None
+        calls = []
+        real = getattr(sampler, spied)
+
+        def spy(gen, *args):
+            calls.append(args)
+            return real(gen, *args)
+
+        monkeypatch.setattr(sampler, spied, spy)
+        n = 20
+        values = sample_batch(law, p, n, seed=72, route="d").values
+        assert len(calls) == 1 and calls[0][-1] == n
+        m = tdl_moments(p)
+        assert abs(values.mean() - m.mu) < 6 * math.sqrt(m.sigma2 / n)
 
 
 class TestPositiveStable:
@@ -475,7 +581,8 @@ class TestGeneratorCaps:
         # theta^gamma = 1e600 overflows the power
         ("tps", TemperedStableParams(-3.0, 1.0, 1e-200)),
         ("tpl", TemperedLinnikParams(-3.0, 1.0, 1e-200, 1.0)),
-        # Gamma(1e-10) mixture scales underflow to 0, and 0 * inf is nan
+        # Gamma(1e10, 1e-10) mixture scales are about 1, so lam theta^gamma
+        # is about 1e600 for every draw
         ("tpl", TemperedLinnikParams(-3.0, 1.0, 1e-200, 1e10)),
     ])
     def test_tempered_intensity_overflow_is_a_typed_error(self, law, params):
@@ -483,6 +590,27 @@ class TestGeneratorCaps:
             warnings.simplefilter("error")
             with pytest.raises(HeavyTailOverflow, match="generator cap"):
                 sample_batch(law, params, 5, seed=1)
+
+    @pytest.mark.parametrize("law, params, route", [
+        *[("tds", TdsParams(-50.0, 1.0, 1e-7), r) for r in ("auto", "a", "b", "c")],
+        *[("tdl", TdlParams(-50.0, 1.0, 1e-7, 1.0), r) for r in ("auto", "a", "b", "c")],
+    ])
+    def test_intensity_of_order_one_draws_although_c_to_the_a_overflows(self, law, params, route):
+        # c^a = 1e350, but the tempering intensity b (1-c)^a is about 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = sample_batch(law, params, 1000, seed=1, route=route).values
+        # the mean is b |a| c (1-c)^(a-1) = 5e-6 per draw
+        assert values.dtype == np.int64 and values.min() >= 0 and values.sum() <= 3
+
+    def test_zero_mixture_scales_draw_zero(self):
+        # Gamma(1e-10) mixture scales underflow to 0: a zero intensity, so
+        # each draw is 0 although theta^gamma = 1e600 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = TemperedLinnikParams(-3.0, 1.0, 1e-200, 1e-10)
+            values = sample_batch("tpl", params, 5, 1).values
+        np.testing.assert_array_equal(values, np.zeros(5))
 
     def test_gamma_draw_past_double_precision_is_a_typed_error(self):
         with warnings.catch_warnings():
