@@ -68,16 +68,12 @@ representation: P(X > k | W) = W^k with W ~ Beta(1-gamma, gamma), so
 X = ceil(log(U) / log(W)).  (Sequential inversion of the pmf recurrence
 p_{k+1} = p_k (k-gamma)/(k+1), used for tabulation, has infinite expected
 cost per draw because the law has no mean.)  Draws beyond the 1e9 support
-cap raise :class:`HeavyTailOverflow`.  The GDS-Sibuya law with tau < 1 is
-exact at every tau.  Its CDF table, built from the same damped jump
-sequence |binom(gamma, k)| tau^k that the PMF tables use
-(:func:`coeffs._abs_binom_sequence`), is sized before any work through
-P(k) <= gamma tau^k and inverted while that size is at most
-``GDS_TABLE_MAX`` entries.  Beyond it, thinning of Sibuya draws is
-cheaper: 0 with probability (1-tau)^gamma, else a Sibuya X kept with
-probability tau^X; route d's jumps take the same thinning without its
-zero step.  Compound draws take their jumps ``JUMP_BLOCK`` at a time, so
-their memory does not grow with the number of jumps.
+cap raise :class:`HeavyTailOverflow`.  The GDS-Sibuya law is 0 with
+probability (1-tau)^gamma, else a non-zero jump of route d from the same
+sampler: the inverted table of |binom(gamma, k)| tau^k while it has at
+most ``GDS_TABLE_MAX`` entries, past it a Sibuya X kept with probability
+tau^X.  Compound draws take their jumps ``JUMP_BLOCK`` at a time, so their
+memory does not grow with the number of jumps.
 """
 
 from __future__ import annotations
@@ -113,10 +109,10 @@ from .params import (
 #: support cap for heavy-tailed integer draws
 SIBUYA_SUPPORT_CAP = 10**9
 
-#: longest GDS-Sibuya inversion table; longer ones give way to thinning
+#: longest inversion table of jumps or counts; longer ones take another method
 GDS_TABLE_MAX = 1 << 17
 
-#: jumps drawn at a time by the GDS-Sibuya compound samplers
+#: jumps drawn at a time by the compound routes c and d
 JUMP_BLOCK = 1 << 16
 
 #: route c (a < 0) draws the closed form NB(c, -a N) above this many
@@ -225,40 +221,6 @@ def _sample_sibuya(gen, p: SibuyaParams, n: int, route=None, max_tries=None) -> 
     return _capped(_sibuya_float(gen, p.gamma, n))
 
 
-def _gds_table_len(gamma: float, tau: float) -> int:
-    """Pre-sized length of the GDS-Sibuya CDF table: the kmax where the tail
-    bound gamma tau^k tau/(1-tau) (from P(k) <= gamma tau^k) falls below 1e-17."""
-    return max(1, math.ceil(math.log(1e-17 * (1.0 - tau) / gamma) / math.log(tau)))
-
-
-def _gds_pmf_cdf(gamma: float, tau: float) -> np.ndarray:
-    """CDF table of the GDS-Sibuya law, cut where the tail is below 1e-17.
-
-    P(0) = (1-tau)^gamma and P(k) = |binom(gamma, k)| tau^k for k >= 1.
-    The jump sequence is sized once by :func:`_gds_table_len` and cut at
-    the first k with P(k) tau/(1-tau) < 1e-17 (P(j+1) <= tau P(j), so this
-    bounds the remaining tail; a subtractive running survival would stall
-    on rounding noise).  tau = 1 must use the exact Sibuya sampler instead.
-    """
-    probs = _abs_binom_sequence(gamma, _gds_table_len(gamma, tau), damp=tau)
-    probs[0] = math.exp(gamma * math.log1p(-tau))
-    end = 1 + int(np.argmax(probs[1:] * tau / (1.0 - tau) < 1e-17))
-    return np.cumsum(probs[: end + 1])
-
-
-def _thinning_budget(gamma: float, tau: float, max_tries: int) -> float:
-    """log (1-tau)^gamma; raises :class:`RejectionBudgetExceeded` when Sibuya
-    thinning expects more than ``max_tries`` tries per non-zero draw."""
-    log_p0 = gamma * math.log1p(-tau)
-    accept = -math.expm1(log_p0)
-    if accept * max_tries < 1.0:
-        raise RejectionBudgetExceeded(
-            f"GDS-Sibuya thinning expects {1.0 / accept:.4g} tries per draw, "
-            f"above max_tries = {max_tries} (acceptance rate 1 - (1-tau)^gamma too small)"
-        )
-    return log_p0
-
-
 def _thin_sibuya(gen: np.random.Generator, gamma: float, tau: float, m: int) -> np.ndarray:
     """m draws of GDS-Sibuya(gamma, tau) given X > 0: Sibuya(gamma) draws X,
     each kept with probability tau^X and redrawn until kept.  A rejected X
@@ -274,42 +236,8 @@ def _thin_sibuya(gen: np.random.Generator, gamma: float, tau: float, m: int) -> 
     return out
 
 
-def _gds_sampler(gamma: float, tau: float, max_tries: int):
-    """A function ``draw(gen, m)`` giving m GDS-Sibuya(gamma, tau) draws.
-
-    tau = 1 is the Sibuya law.  Below it, a CDF table of pre-sized length
-    at most ``GDS_TABLE_MAX`` is inverted.  Past that, building and
-    searching the table costs more than thinning (for a batch of 1e5 the
-    two cross between 1.5e5 and 4.7e5 entries), so the law is drawn
-    exactly by thinning Sibuya(gamma) draws: 0 with probability (1-tau)^gamma,
-    otherwise a Sibuya X accepted with probability tau^X, redrawn until
-    accepted.  The acceptance rate E[tau^X] = 1 - (1-tau)^gamma is known,
-    so an expected number of tries above ``max_tries`` raises
-    :class:`RejectionBudgetExceeded` before any draw.
-    """
-    if tau == 1.0:
-        return lambda gen, m: _capped(_sibuya_float(gen, gamma, m))
-    if _gds_table_len(gamma, tau) <= GDS_TABLE_MAX:
-        search = _table_search(_gds_pmf_cdf(gamma, tau))
-        return lambda gen, m: search(gen.random(m))
-    p0 = math.exp(_thinning_budget(gamma, tau, max_tries))
-
-    def draw(gen: np.random.Generator, m: int) -> np.ndarray:
-        out = np.zeros(m, dtype=np.int64)
-        active = np.flatnonzero(gen.random(m) >= p0)
-        out[active] = _thin_sibuya(gen, gamma, tau, active.size)
-        return out
-
-    return draw
-
-
-def _sample_gds(gen, p: GdsSibuyaParams, n: int, route=None,
-                max_tries=DEFAULT_MAX_TRIES) -> np.ndarray:
-    return _gds_sampler(p.gamma, p.tau, max_tries)(gen, n)
-
-
 # ---------------------------------------------------------------------------
-# thinned compound counts: the non-zero jumps of routes c and d
+# non-zero jumps (routes c and d, the gds law) and the thinned counts of c and d
 
 
 def _table_search(cdf: np.ndarray):
@@ -409,9 +337,11 @@ def _jump_cdf(a: float, c: float) -> np.ndarray | None:
 
 def _jump_sampler(a: float, c: float, max_tries: int):
     """A function ``draw(gen, m)`` giving m non-zero jumps of routes c and d
-    by inverting :func:`_jump_cdf`, or None where a < 0 and that table
-    would be too long.  Past it, a > 0 thins Sibuya draws (budgeted as in
-    :func:`_gds_sampler`); at c = 1 the jumps are Sibuya(a) draws.
+    and of the GDS-Sibuya law: :func:`_jump_cdf` inverted, or None where
+    a < 0 and that table would be too long.  Past it, a > 0 thins Sibuya
+    draws (cheaper than so long a table), after raising
+    :class:`RejectionBudgetExceeded` if 1 / (1 - (1-c)^a) expected tries
+    per draw exceed ``max_tries``.  At c = 1 the jumps are Sibuya(a) draws.
     """
     if c == 1.0:
         return lambda gen, m: _capped(_sibuya_float(gen, a, m))
@@ -427,8 +357,28 @@ def _jump_sampler(a: float, c: float, max_tries: int):
         return draw
     if a < 0:
         return None
-    _thinning_budget(a, c, max_tries)
+    accept = -math.expm1(a * math.log1p(-c))
+    if accept * max_tries < 1.0:
+        raise RejectionBudgetExceeded(
+            f"GDS-Sibuya thinning expects {1.0 / accept:.4g} tries per draw, "
+            f"above max_tries = {max_tries} (acceptance rate 1 - (1-tau)^gamma too small)"
+        )
     return lambda gen, m: _thin_sibuya(gen, a, c, m)
+
+
+def _sample_gds(gen, p: GdsSibuyaParams, n: int, route=None,
+                max_tries=DEFAULT_MAX_TRIES) -> np.ndarray:
+    """GDS-Sibuya(gamma, tau): 0 with probability (1-tau)^gamma, else a
+    non-zero jump of route d, from :func:`_jump_sampler`."""
+    if _log_jump_mass(p.gamma, p.tau) == -math.inf:
+        return np.zeros(n, dtype=np.int64)
+    draw = _jump_sampler(p.gamma, p.tau, max_tries)
+    if p.tau == 1.0:
+        return draw(gen, n)
+    out = np.zeros(n, dtype=np.int64)
+    nz = np.flatnonzero(gen.random(n) >= math.exp(p.gamma * math.log1p(-p.tau)))
+    out[nz] = draw(gen, nz.size)
+    return out
 
 
 def _count_cdf(mean: float, d: float) -> np.ndarray | None:

@@ -72,7 +72,8 @@ OTHER_LAWS = (
     + [("poisson", PoissonParams(lam)) for lam in (1e-9, 1.0, 50.0, 1e6)]
     + [("sibuya", SibuyaParams(g)) for g in (1e-6, 0.5, 1.0)]
     + [("gds", GdsSibuyaParams(g, tau))
-       for g, tau in itertools.product((1e-6, 0.5, 1.0), (1e-9, 0.999999, 1.0))]
+       for g, tau in itertools.product((1e-300, 1e-6, 0.5, 1.0),
+                                       (5e-324, 1e-300, 1e-9, 0.999999, 1.0))]
     + [("dl", LinnikParams(g, lam, delta))
        for g, lam, delta in itertools.product((1e-6, 1.0), (1e-9, 1e6), (1e-4, 1e5))]
     + [("ds", StableParams(g, lam)) for g, lam in itertools.product((1e-6, 1.0), (1e-9, 1e6))]

@@ -33,7 +33,6 @@ from tdlinnik import (
     empirical_pgf,
     family_laplace,
     family_pgf,
-    gen_binom,
     sample_batch,
     series_pmf,
     tdl_moments,
@@ -41,11 +40,8 @@ from tdlinnik import (
 from tdlinnik import sampler
 from tdlinnik.sampler import (
     DEFAULT_MAX_TRIES,
-    GDS_TABLE_MAX,
     _compound,
     _count_cdf,
-    _gds_pmf_cdf,
-    _gds_table_len,
     _jump_cdf,
     _jump_sampler,
 )
@@ -181,26 +177,17 @@ class TestGdsSibuya:
         est, se = empirical_pgf(batch, 0.5)
         assert abs(est - family_pgf("gds", params, 0.5)) < 4 * se
 
-    def test_gof(self):
-        params = GdsSibuyaParams(0.3, 0.8)
+    # P(0) = 0.62, 0.067 and 0.93; the non-zero draws come from route d's jump table
+    @pytest.mark.parametrize("gamma,tau", [(0.3, 0.8), (0.9, 0.95), (0.2, 0.3)])
+    def test_gof(self, gamma, tau):
+        params = GdsSibuyaParams(gamma, tau)
         batch = sample_batch("gds", params, N, seed=35)
         report = chi_square_gof(batch, series_pmf("gds", params, 150))
         assert report.p_value > 0.001
 
-    @pytest.mark.parametrize("gamma,tau", [(0.2, 0.3), (0.5, 0.95), (0.9, 0.99)])
-    def test_table_matches_series(self, gamma, tau):
-        cdf = _gds_pmf_cdf(gamma, tau)
-        m = min(len(cdf), 201)
-        ref = np.cumsum(series_pmf("gds", GdsSibuyaParams(gamma, tau), 200).p)
-        np.testing.assert_allclose(cdf[:m], ref[:m], rtol=1e-13, atol=0)
-        # the table ends at the first k whose tail bound p_k tau/(1-tau) is below 1e-17
-        k = len(cdf) - 1
-        bound = [abs(gen_binom(gamma, j)) * tau**j * tau / (1 - tau) for j in (k - 1, k)]
-        assert bound[1] < 1e-17 <= bound[0]
-
     @pytest.mark.parametrize("gamma,tau", [(0.5, 0.9999), (0.2, 0.99995)])
     def test_thinning_gof(self, gamma, tau):
-        assert _gds_table_len(gamma, tau) > GDS_TABLE_MAX  # past the inversion table
+        assert _jump_cdf(gamma, tau) is None  # past the inversion table
         params = GdsSibuyaParams(gamma, tau)
         batch = sample_batch("gds", params, N, seed=36)
         report = chi_square_gof(batch, series_pmf("gds", params, 200))
@@ -286,6 +273,7 @@ class TestThinnedCompound:
 
     @pytest.mark.parametrize("a, c", [
         (0.5, 1e-7), (0.3, 0.5), (0.9, 0.95), (1.0, 0.3),
+        (0.2, 0.3), (0.5, 0.95), (0.9, 0.99),
         (-1.0, 1e-7), (-0.5, 0.5), (-2.5, 0.9),
     ])
     def test_jump_cdf_matches_series_given_nonzero(self, a, c):
@@ -300,6 +288,10 @@ class TestThinnedCompound:
                                        (1 - mp.mpf(c)) ** mp.mpf(-a))
         np.testing.assert_allclose(cdf[:m], want[:m], rtol=1e-13, atol=0)
         assert cdf[-1] == 1.0
+        if a > 0:
+            # the table ends at the smallest K whose tail bound c^K/(1-c) is below 1e-17
+            k = len(cdf)
+            assert c**k / (1 - c) < 1e-17 <= c ** (k - 1) / (1 - c)
 
     @pytest.mark.parametrize("mean, d", [
         (1e-7, 0.0), (0.3, 0.0), (4.0, 0.0), (40.0, 0.0),
