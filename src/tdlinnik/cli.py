@@ -176,9 +176,10 @@ def cmd_pmf(law, kmax, use_oracle, fmt, out, **flags):
 @click.option("--stream", type=int, default=0, show_default=True)
 @click.option("--route", type=click.Choice(TDL_ROUTES), default="auto", show_default=True,
               help="generation identity of tdl/tds and of ds/dl, drawn as their TDL "
-                   "members (other laws take only auto); auto: route c (NB jumps) "
-                   "for a < 0, route d (GDS-Sibuya jumps) for a > 0 and c < 1, "
-                   "else route a")
+                   "members (other laws take only auto); auto: for c < 1 the "
+                   "law's own PMF table where it pays, else route c (NB jumps) "
+                   "for a < 0 or route d (GDS-Sibuya jumps) for a > 0; route a "
+                   "at c = 1")
 @click.option("--max-tries", type=int, default=DEFAULT_MAX_TRIES, show_default=True)
 @click.option("--out", type=click.Path(writable=True, dir_okay=False), default=None)
 @map_errors

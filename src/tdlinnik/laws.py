@@ -177,14 +177,16 @@ def sample_batch(
     routes the same way), and so of the laws drawn as their members.
     Other laws have one identity and take only ``"auto"``; any other route
     raises :class:`IncompatibleRoute`.  The default ``"auto"`` has no
-    tempering rejection: for a < 0 it is route c, a sum of NB(c, -a) jumps
-    over NB or Poisson counts, for a > 0 and c < 1 route d, the same with
-    GDS-Sibuya(a, c) jumps, and at c = 1 route a, which needs no tempering
-    there.  An
-    explicit route "a" keeps the Poisson(TPS) identity, which rejects for
-    a > 0 and c < 1 and raises :class:`RejectionBudgetExceeded` after
-    ``max_tries`` rounds; ``max_tries`` also bounds the expected tries per
-    draw of the GDS-Sibuya thinning sampler.
+    tempering rejection: for c < 1 it inverts the law's own PMF table, one
+    inverse FFT of its p.g.f., where that table costs no more to build than
+    the compound route's draws; otherwise, for a < 0, it is route c, a sum
+    of NB(c, -a) jumps over NB or Poisson counts, and for a > 0 route d,
+    the same with GDS-Sibuya(a, c) jumps; at c = 1 it is route a, which
+    needs no tempering there.  An explicit route "a" keeps the
+    Poisson(TPS) identity, which rejects for a > 0 and c < 1 and raises
+    :class:`RejectionBudgetExceeded` after ``max_tries`` rounds;
+    ``max_tries`` also bounds the expected tries per draw of the
+    GDS-Sibuya thinning sampler.
     """
     from . import sampler
 

@@ -36,8 +36,9 @@ Generation routes follow the mixture/compound identities of the family:
                         q = b d (1-c)^a
     d     (a in (0,1])  a sum of Poisson(b |h|) or NB(q/(1+q), 1/d) with
                         q = b d |h| jumps GDS-Sibuya(a, c) given > 0
-    auto  route c for a < 0, route d for a in (0, 1] and c < 1, route a
-          at c = 1.
+    auto  for c < 1 the law's own PMF table, inverted, where it fits and
+          pays (below); else route c for a < 0, route d for a in (0, 1];
+          route a at c = 1.
 
 Routes c and d draw only the non-zero jumps: of a Poisson or NB number of
 jumps with mass (1-c)^|a| at zero, the non-zero ones are a count of the
@@ -50,19 +51,29 @@ generator.  Route a's intensity B c^a, and B (1-c)^a of its tempering step
 for a < 0, are formed as sums of logs, so a c^a past double precision does
 not overflow an intensity of order one.
 
-Route auto, the default, has no tempering rejection: routes c and d have
-no tempering step, and route a skips it at c = 1 (theta = 0).  Only the
-explicit routes a and b (and tps, tpl) temper: by rejection for a > 0 and
-c < 1, as a Poisson sum of Gammas for a < 0.  Both rejection steps,
-tempering and GDS-Sibuya thinning (below), know their expected tries per
-draw before they start and raise :class:`RejectionBudgetExceeded` up front
-when it exceeds ``max_tries``.
+Route auto's table is one inverse FFT of the closed-form p.g.f.
+outer(beta ((1-cs)^a - (1-c)^a)) at the M-th roots of unity (Abate &
+Whitt 1992), sized before any work by a Chernoff bound on its tail at
+fixed real s in (1, 1/c).  It is built while it has at most
+``GDS_TABLE_MAX`` entries and its build costs no more than the compound
+route's draws would (:func:`_family_table_max`).  It shares no code with
+the Panjer tables and the series oracle that check it.
 
-Poisson, Gamma and negative binomial primitives are delegated
-to numpy's Generator; their correctness is enforced by the goodness-of-fit
-suite rather than by pinning a particular classical algorithm; an intensity
-past their cap raises :class:`HeavyTailOverflow` first, and so does a
-Gamma law's draw past double precision.  The Sibuya
+Route auto, the default, has no tempering rejection: its table and routes
+c and d have no tempering step, and route a skips it at c = 1
+(theta = 0).  Only the explicit routes a and b (and tps, tpl) temper: by
+rejection for a > 0 and c < 1, as a Poisson sum of Gammas for a < 0.
+Both rejection steps, tempering and GDS-Sibuya thinning (below), know
+their expected tries per draw before they start and raise
+:class:`RejectionBudgetExceeded` up front when it exceeds ``max_tries``.
+
+The poisson and nb laws invert the count tables of routes c and d.  Past
+``GDS_TABLE_MAX`` entries, and in route a and the tempered laws, Poisson,
+Gamma and negative binomial primitives are delegated to numpy's Generator;
+their correctness is enforced by the goodness-of-fit suite rather than by
+pinning a particular classical algorithm; an intensity past their cap
+raises :class:`HeavyTailOverflow` first, and so does a Gamma law's draw
+past double precision.  The Sibuya
 law is drawn exactly in O(1) per variate through its beta-mixed geometric
 representation: P(X > k | W) = W^k with W ~ Beta(1-gamma, gamma), so
 X = ceil(log(U) / log(W)).  (Sequential inversion of the pmf recurrence
@@ -119,8 +130,28 @@ JUMP_BLOCK = 1 << 16
 #: non-zero jumps per draw, b |(1-c)^a - 1|; below it the thinned compound
 NEG_JUMPS_MAX = 4.0
 
+#: points of the unit circle at which a family table's p.g.f. is evaluated
+#: at a time, so the build's temporaries stay small
+_PGF_BLOCK = 1 << 12
+
+#: route auto's family table pays where its build costs no more than the
+#: compound route's draws (measured crossover): one entry costs about as
+#: much as this many jump draws, and route c's closed form about as much
+#: as _CLOSED_FORM_JUMPS per draw
+_ENTRY_JUMPS = 7.0
+_CLOSED_FORM_JUMPS = 9.0
+
+#: table draws split off the zeros (u < P(0)) before the search from this
+#: P(0) on; below it searching every u is cheaper (same draws either way)
+_ZERO_SPLIT_MIN = 0.4
+
 #: log of the mass a count or jump CDF table may leave out
 _LOG_TABLE_TAIL = math.log(1e-17)
+
+#: the points s = c^-f, f in (0, 1), of a family table's Chernoff bound:
+#: geometric ladders toward s = 1 and toward the singularity at s = 1/c
+_LADDER = 2.0 ** -(np.arange(1, 97) / 4)
+_CHERNOFF_F = np.concatenate((_LADDER, 1.0 - _LADDER))
 
 #: log of the smallest normal double
 _LOG_TINY = math.log(sys.float_info.min)
@@ -245,14 +276,19 @@ def _table_search(cdf: np.ndarray):
     with u < cdf[i] (len(cdf) if there is none): inversion of a CDF table
     whose last entry is 1, or within rounding of it.
 
-    It starts each u from a guide table of len(cdf) buckets, the first i
+    It starts each u from a guide table of 4 len(cdf) buckets, the first i
     past the bucket's lower edge (Chen & Asau 1974, *AIIE Trans.* 6(2));
     only the u whose bucket holds a table step below them take a binary
     search.  The result equals ``np.searchsorted(cdf, u, side="right")``.
     """
-    m = len(cdf)
-    guide = np.searchsorted(cdf, np.arange(m + 1) / m, side="right")
-    guide[-1] = m - 1  # u m may round up to m
+    m = 4 * len(cdf)
+    # guide[b] counts the entries whose own bucket is below b: each is at
+    # most every u of bucket b, so the answer for such a u is not among them
+    bucket = np.multiply(cdf, m, out=np.empty(len(cdf), np.intp), casting="unsafe")
+    bucket += 1
+    guide = np.bincount(bucket, minlength=m + 1)[: m + 1]
+    np.cumsum(guide, out=guide)
+    np.minimum(guide, len(cdf) - 1, out=guide)
 
     def search(u: np.ndarray) -> np.ndarray:
         i = np.multiply(u, m, out=np.empty(len(u), np.intp), casting="unsafe")
@@ -262,6 +298,29 @@ def _table_search(cdf: np.ndarray):
         return i
 
     return search
+
+
+def _inverse_draws(gen: np.random.Generator, cdf: np.ndarray,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and values of the non-zero draws among n inversions of a CDF
+    table over k = 0, 1, ...: one uniform each, and only the u >= P(0) are
+    searched."""
+    u = gen.random(n)
+    nz = np.flatnonzero(u >= cdf[0])
+    u = u[nz]  # the batch-sized uniforms are freed before the search
+    return nz, _table_search(cdf)(u)
+
+
+def _table_draws(gen: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
+    """n draws of the CDF table over k = 0, 1, ...: :func:`_inverse_draws`
+    where P(0) is at least ``_ZERO_SPLIT_MIN``; below it the split costs
+    more than it saves, and searching every u gives the same draws."""
+    if cdf[0] < _ZERO_SPLIT_MIN:
+        return _table_search(cdf)(gen.random(n))
+    nz, values = _inverse_draws(gen, cdf, n)
+    out = np.zeros(n, dtype=np.int64)
+    out[nz] = values
+    return out
 
 
 def _table_len(log_tail) -> int | None:
@@ -430,10 +489,7 @@ def _nonzero_counts(gen: np.random.Generator, log_mean: float, d: float,
             counts = _nb_vec(gen, q / (1.0 + q), 1.0 / d, n)
         nz = np.flatnonzero(counts)
         return nz, counts[nz]
-    u = gen.random(n)
-    nz = np.flatnonzero(u >= cdf[0])
-    u = u[nz]  # the batch-sized uniforms are freed before the search
-    return nz, _table_search(cdf)(u)
+    return _inverse_draws(gen, cdf, n)
 
 
 def _compound(gen: np.random.Generator, counts: np.ndarray, draw) -> np.ndarray:
@@ -456,6 +512,73 @@ def _compound(gen: np.random.Generator, counts: np.ndarray, draw) -> np.ndarray:
         at_ends[i0:i1] = csum[ends[i0:i1] - lo - 1]
         carry = int(csum[-1])
     return np.diff(at_ends, prepend=0)
+
+
+# ---------------------------------------------------------------------------
+# the family's own PMF table (route auto)
+
+
+def _family_log_pgf(a: float, c: float, beta: float, power, log_w, arg_w) -> tuple:
+    """log |G| and arg G of G(s) = outer(beta ((1-cs)^a - (1-c)^a)), outer
+    x^power of 1 + x, or exp at ``power`` None, from log |w| and arg w of
+    w = 1 - cs.  In polar form a real s (arg w = 0) and the unit circle
+    share one evaluation in real arithmetic.  At a real s, G is finite and
+    positive only where log |G| is finite and arg G is 0: 1 + x <= 0 gives
+    an infinite modulus or an argument of power pi."""
+    mod = np.exp(a * log_w)
+    re = beta * (mod * np.cos(a * arg_w) - np.exp(a * np.log1p(-c)))
+    im = beta * mod * np.sin(a * arg_w)
+    if power is None:
+        return re, im
+    re += 1.0
+    return 0.5 * power * np.log(re * re + im * im), power * np.arctan2(im, re)
+
+
+def _family_cdf(a: float, c: float, beta: float, power,
+                max_len: float = GDS_TABLE_MAX) -> np.ndarray | None:
+    """CDF table over k = 0, 1, ... of the count law with p.g.f.
+    G(s) = outer(beta ((1-cs)^a - (1-c)^a)), c < 1, in the coordinates of
+    the law registry (``power`` None for exp), or None where it would pass
+    ``max_len`` or ``GDS_TABLE_MAX`` entries.
+
+    It is sized before any work: K is the smallest length whose Chernoff
+    bound P(X > K) <= G(s) / s^(K+1), at the best s = c^-f of
+    ``_CHERNOFF_F`` where G is finite, is below 1e-17; at each s that
+    length has a closed form, so the size is their minimum.  The table is
+    then one inverse FFT of G at the M-th roots of unity, M the first power
+    of two above K (Abate & Whitt 1992, *Oper. Res. Lett.* 12(5)), so the
+    aliased mass is that bounded tail.  Negative round-off is clipped to 0
+    and the table is normalised by its own sum.
+    """
+    if not 0.0 < c < 1.0:
+        return None
+    log_c = math.log(c)
+    with np.errstate(all="ignore"):
+        log_g, arg_g = _family_log_pgf(
+            a, c, beta, power, np.log(-np.expm1(log_c * (1.0 - _CHERNOFF_F))), 0.0)
+        # log G - (K+1) log s < log 1e-17 first holds at K = floor((log G - log 1e-17) / log s)
+        sizes = np.floor((log_g - _LOG_TABLE_TAIL) / (-log_c * _CHERNOFF_F))
+    sizes = sizes[np.isfinite(log_g) & (arg_g == 0.0)]
+    if not sizes.size or not sizes.min() <= min(max_len, GDS_TABLE_MAX):
+        return None
+    size = int(sizes.min())
+    m = 1 << size.bit_length()
+    g = np.empty(m // 2 + 1, complex)
+    for lo in range(0, len(g), _PGF_BLOCK):
+        phi = np.arange(lo, min(lo + _PGF_BLOCK, len(g))) * (2.0 * math.pi / m)
+        re_w = 2.0 * c * np.sin(0.5 * phi) ** 2 + (1.0 - c)  # 1 - c cos(phi), no cancellation
+        im_w = c * np.sin(phi)
+        with np.errstate(all="ignore"):
+            log_g, arg_g = _family_log_pgf(a, c, beta, power,
+                                           0.5 * np.log(re_w * re_w + im_w * im_w),
+                                           np.arctan2(im_w, re_w))
+            g[lo:lo + len(phi)] = np.exp(log_g + 1j * arg_g)
+    pmf = np.fft.irfft(g, m)[: size + 1]
+    cdf = np.cumsum(np.maximum(pmf, 0.0, out=pmf))  # a copy: the FFT's M entries are freed
+    if not 0.0 < cdf[-1] < math.inf:
+        return None
+    cdf /= cdf[-1]
+    return cdf
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +644,15 @@ def _tps_vec(
     theta: float,
     n: int,
     max_tries: int = DEFAULT_MAX_TRIES,
+    log_theta: float | None = None,
 ) -> np.ndarray:
-    """Tempered positive stable draws; lam may be an array (mixture scale)."""
+    """Tempered positive stable draws; lam may be an array (mixture scale).
+
+    ``log_theta``, log theta by default, is given where theta itself
+    overflows a double (route a at a subnormal c): for gamma > 0 the
+    rejection's intensity lam theta^gamma is formed from logs, and so is
+    its exponent theta x where theta is infinite.
+    """
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
     if gamma == 0.0:
         return np.zeros(n)
@@ -538,8 +668,11 @@ def _tps_vec(
     out = np.empty(n)
     active = np.flatnonzero(lam > 0)
     out[lam == 0] = 0.0
+    if log_theta is None:
+        log_theta = math.log(theta)
     # the draw with the largest lam expects exp(lam theta^gamma) tries
-    log_tries = float(lam.max(initial=0.0)) * theta**gamma
+    with np.errstate(divide="ignore", over="ignore"):
+        log_tries = float(np.exp(np.log(lam.max(initial=0.0)) + gamma * log_theta))
     if log_tries > math.log(max_tries):
         raise RejectionBudgetExceeded(
             f"tempering rejection expects exp({log_tries:.4g}) tries for its worst draw, "
@@ -556,8 +689,13 @@ def _tps_vec(
         x = _kanter_vec(gen, gamma, lam[active], active.size)
         if np.isnan(x).any():
             raise _overflowed(gamma)
+        if theta < math.inf:
+            theta_x = theta * x
+        else:
+            with np.errstate(divide="ignore"):
+                theta_x = np.exp(log_theta + np.log(x))
         # an inf proposal is accepted with probability exp(-theta inf) = 0
-        accept = (gen.random(active.size) <= np.exp(-theta * x)) & (x < np.inf)
+        accept = (gen.random(active.size) <= np.exp(-theta_x)) & (x < np.inf)
         out[active[accept]] = x[accept]
         active = active[~accept]
     return out
@@ -609,6 +747,28 @@ def _compound_jumps(gen: np.random.Generator, p: TdlParams | TdsParams, n: int,
     return out
 
 
+def _tdl_family(p: TdlParams | TdsParams) -> tuple:
+    """The family coordinates (a, c, beta, power) of a tdl or tds record, as
+    the law registry records them, in doubles."""
+    beta = math.copysign(p.b, p.a)
+    if p.d == 0:
+        return p.a, p.c, -beta, None
+    return p.a, p.c, beta * p.d, -1.0 / p.d
+
+
+def _family_table_max(p: TdlParams | TdsParams, n: int) -> float:
+    """The longest family table route auto builds for n draws: one whose
+    build costs at most what the compound route's draws would.  An entry
+    costs about ``_ENTRY_JUMPS`` jump draws, and a compound draw 1 + b|h|,
+    or for a < 0 at most 1 + ``_CLOSED_FORM_JUMPS`` (route c's closed form
+    caps it)."""
+    with np.errstate(over="ignore"):
+        jumps = float(np.exp(math.log(p.b) + _log_jump_mass(p.a, p.c)))
+    if p.a < 0:
+        jumps = min(jumps, _CLOSED_FORM_JUMPS)
+    return n * (1.0 + jumps) / _ENTRY_JUMPS
+
+
 def _sample_tdl(
     gen: np.random.Generator,
     p: TdlParams | TdsParams,
@@ -628,6 +788,10 @@ def _sample_tdl(
     if route == "d" and not 0.0 < p.a <= 1.0:
         raise IncompatibleRoute(f"route 'd' requires a in (0, 1], got a = {p.a}")
     if route == "auto":
+        if p.c < 1:
+            cdf = _family_cdf(*_tdl_family(p), _family_table_max(p, n))
+            if cdf is not None:
+                return _table_draws(gen, cdf, n)
         route = "c" if p.a < 0 else "d" if p.c < 1 else "a"
     if route in ("c", "d"):
         return _compound_jumps(gen, p, n, max_tries)
@@ -649,7 +813,9 @@ def _sample_tdl(
     log_lam += p.a * math.log(p.c)
     with np.errstate(over="ignore"):
         lam = np.exp(log_lam, out=log_lam)
-    return _poisson_mix(gen, _tps_vec(gen, p.a, lam, theta, n, max_tries))
+    # log theta stays finite where theta overflows (a subnormal c)
+    log_theta = math.log1p(-p.c) - math.log(p.c) if p.c < 1 else -math.inf
+    return _poisson_mix(gen, _tps_vec(gen, p.a, lam, theta, n, max_tries, log_theta))
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +844,17 @@ def _sample_tpl(gen, p: TemperedLinnikParams, n, route, max_tries):
 
 
 def _sample_nb(gen, p: NegativeBinomialParams, n, route, max_tries):
-    return _nb_vec(gen, p.pi, p.delta, n)
+    cdf = _count_cdf(p.delta * p.pi / (1.0 - p.pi), 1.0 / p.delta)
+    if cdf is None:
+        return _nb_vec(gen, p.pi, p.delta, n)
+    return _table_draws(gen, cdf, n)
 
 
 def _sample_poisson(gen, p: PoissonParams, n, route, max_tries):
-    return _poisson_mix(gen, p.lam, n)
+    cdf = _count_cdf(p.lam, 0.0)
+    if cdf is None:
+        return _poisson_mix(gen, p.lam, n)
+    return _table_draws(gen, cdf, n)
 
 
 def _sample_gamma(gen, p: GammaParams, n, route, max_tries):

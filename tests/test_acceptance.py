@@ -7,6 +7,7 @@ summaries.  The parameter grid spans both admissibility branches:
     c in {0.1, 0.5, 0.9} (plus c = 1 when a > 0),  d in {0.25, 1, 4}.
 """
 
+import itertools
 import math
 import time
 
@@ -272,7 +273,8 @@ class TestAcceptance:
     )
 
     def test_criterion_5_sampler_correctness(self):
-        """Chi-square GOF at 0.001 for all routes; Laplace match for PS/TPS."""
+        """Chi-square GOF at 0.001 for all routes and the default route auto
+        at every grid point; Laplace match for PS/TPS."""
         t0 = time.perf_counter()
         n = 100000
         runs = 0
@@ -280,6 +282,9 @@ class TestAcceptance:
         failures = []
         stream = 0
         cases = [(p, "abc") for p in self.NEG_POINTS] + list(self.POS_POINTS)
+        # the default route at every point, after the named routes, so
+        # these keep their streams
+        cases += [(p, ("auto",)) for p, _ in cases]
         for p, routes in cases:
             table = build_pmf_table(p, 300)
             for route in routes:
@@ -322,7 +327,7 @@ class TestAcceptance:
         )
 
     def test_criterion_6_route_equivalence(self):
-        """Empirical PMFs of routes a/b/c agree within 3x the expected MC TV."""
+        """Empirical PMFs of routes a/b/c and auto agree within 3x the expected MC TV."""
         n = 100000
         worst_ratio = 0.0
         for idx, p in enumerate(self.NEG_POINTS[:4]):
@@ -334,19 +339,19 @@ class TestAcceptance:
                 np.sum(np.sqrt(table.p * (1 - table.p) / (math.pi * n)))
             ) + math.sqrt(max(table.tail_mass, 0.0) / (math.pi * n))
             hists = {}
-            for route in "abc":
+            for route, stream in (("a", ord("a")), ("b", ord("b")), ("c", ord("c")), ("auto", 0)):
                 batch = sample_batch(
-                    "tdl", p, n, seed=777000 + idx, stream=ord(route), route=route
+                    "tdl", p, n, seed=777000 + idx, stream=stream, route=route
                 )
                 hists[route] = np.bincount(
                     np.minimum(batch.values, kcap + 1), minlength=kcap + 2
                 ) / n
-            for pair in ("ab", "ac", "bc"):
-                tv = 0.5 * float(np.abs(hists[pair[0]] - hists[pair[1]]).sum())
+            for first, second in itertools.combinations(hists, 2):
+                tv = 0.5 * float(np.abs(hists[first] - hists[second]).sum())
                 worst_ratio = max(worst_ratio, tv / (3.0 * expected_tv))
         report(
             6,
-            "route equivalence (a < 0)",
+            "route equivalence (a < 0, routes a, b, c and auto)",
             worst_ratio < 1.0,
             f"worst pairwise TV at {worst_ratio:.2f} of the 3x expected "
             f"Monte-Carlo fluctuation bound (N = {n})",

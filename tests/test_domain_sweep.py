@@ -7,6 +7,10 @@ laws go through every analytic front end.  Each call must return or raise
 a ``TdlError`` subclass, print no warning, and take at most about ten
 times the median call of its front end on its law.
 
+The table of route auto, ``sampler._family_cdf``, is held to the same rule
+on every tdl/tds point of the sample and of the float box below: it must
+return a CDF table or None.
+
 The sampling half holds ``sample_batch`` to the same rule wherever its work
 per draw is bounded today, on this sample and on the whole float box (a
 from -50 to 0.999, b and d out to 1e-300 and 1e300, c within 1e-300 of 0
@@ -48,6 +52,7 @@ from tdlinnik import (
 )
 from tdlinnik.cli import main
 from tdlinnik.laws import LAWS
+from tdlinnik.sampler import _family_cdf, _tdl_family
 
 SEED = 2016
 N_TDL = 300
@@ -215,3 +220,15 @@ def test_every_draw_on_the_float_box_returns_or_fails_typed_in_bounded_time():
             routes = ("a", "auto") if p.c == 1 else ("a",)
         calls += [(f"sample_batch route {r}", "tdl", (draw, "tdl", p, r)) for r in routes]
     assert_bounded(calls)
+
+
+def family_table(p):
+    """Route auto's family table of a tdl or tds record: a CDF or None."""
+    cdf = _family_cdf(*_tdl_family(p))
+    assert cdf is None or (cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)), p
+    return cdf
+
+
+def test_every_family_table_is_a_cdf_or_none_in_bounded_time():
+    points = tdl_points(SEED, N_TDL) + FLOAT_BOX
+    assert_bounded([("_family_cdf", "tdl", (family_table, p)) for p in points])

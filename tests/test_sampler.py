@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -42,8 +43,12 @@ from tdlinnik.sampler import (
     DEFAULT_MAX_TRIES,
     _compound,
     _count_cdf,
+    _family_cdf,
+    _family_table_max,
     _jump_cdf,
     _jump_sampler,
+    _table_draws,
+    _tdl_family,
 )
 
 import test_acceptance
@@ -293,6 +298,29 @@ class TestThinnedCompound:
             k = len(cdf)
             assert c**k / (1 - c) < 1e-17 <= c ** (k - 1) / (1 - c)
 
+    @pytest.mark.parametrize("cdf", [
+        _count_cdf(20.0, 0.0), _jump_cdf(0.9, 0.95),
+        _family_cdf(*_tdl_family(TdlParams(-1.0, 1.0, 0.925, 1.0))),
+        # steps of zero mass, entries on bucket edges, a last entry below 1
+        np.array([0.0, 0.0, 0.25, 0.25, 0.5, 0.75, 0.75, 1.0 - 2**-40]),
+        np.array([1.0]),
+    ])
+    def test_table_search_equals_searchsorted(self, cdf):
+        m = 4 * len(cdf)
+        edges = np.arange(m) / m
+        u = np.concatenate((np.random.default_rng(79).random(20000), cdf[cdf < 1], edges,
+                            np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0),
+                            [0.0, np.nextafter(1.0, 0.0)]))
+        np.testing.assert_array_equal(sampler._table_search(cdf)(u),
+                                      np.searchsorted(cdf, u, side="right"))
+
+    @pytest.mark.parametrize("mean", [0.3, 3.0])  # P(0) 0.74 (zeros split off) and 0.05
+    def test_table_draws_invert_one_uniform_each(self, mean):
+        cdf = _count_cdf(mean, 0.0)
+        u = RngStream(80).generator.random(5000)
+        np.testing.assert_array_equal(_table_draws(RngStream(80).generator, cdf, 5000),
+                                      np.searchsorted(cdf, u, side="right"))
+
     @pytest.mark.parametrize("mean, d", [
         (1e-7, 0.0), (0.3, 0.0), (4.0, 0.0), (40.0, 0.0),
         (1e-7, 1.0), (0.3, 0.5), (4.0, 2.0), (40.0, 0.1),
@@ -334,15 +362,19 @@ class TestThinnedCompound:
         report = chi_square_gof(batch, build_pmf_table(p, 400))
         assert report.p_value > 0.001
 
-    @pytest.mark.parametrize("p", [
-        TdlParams(-1.0, 1.0, 0.5, 1.0), TdlParams(-0.5, 3.0, 0.05, 0.0),
-        TdlParams(0.5, 1.0, 0.5, 1.0), TdlParams(0.75, 2.0, 0.9, 0.0),
+    @pytest.mark.parametrize("p, n", [
+        # past GDS_TABLE_MAX: NB counts with q = 1e4 of heavy GDS-Sibuya jumps
+        (TdlParams(0.5, 1e4, 0.5, 1.0), 100),
+        # tables of 24772 and 18563 entries would cost more than route c's draws
+        (TdlParams(-2.0, 10.0, 0.9, 0.0), 1000),
+        (TdlParams(-0.5, 1e3, 0.9, 0.0), 1000),
     ])
-    def test_auto_is_the_compound_route(self, p):
+    def test_auto_is_the_compound_route_where_the_table_does_not_fit(self, p, n):
+        assert _family_cdf(*_tdl_family(p), _family_table_max(p, n)) is None
         named = "c" if p.a < 0 else "d"
         np.testing.assert_array_equal(
-            sample_batch("tdl", p, 1000, seed=71).values,
-            sample_batch("tdl", p, 1000, seed=71, route=named).values,
+            sample_batch("tdl", p, n, seed=71).values,
+            sample_batch("tdl", p, n, seed=71, route=named).values,
         )
 
     @pytest.mark.parametrize("law, p, spied", [
@@ -366,6 +398,66 @@ class TestThinnedCompound:
         assert len(calls) == 1 and calls[0][-1] == n
         m = tdl_moments(p)
         assert abs(values.mean() - m.mu) < 6 * math.sqrt(m.sigma2 / n)
+
+
+class TestFamilyTable:
+    """Route auto inverts the law's own PMF table, one inverse FFT of its
+    closed-form p.g.f.; checked against the series oracle, and its draws
+    against the Panjer tables, which share no code with it."""
+
+    @pytest.mark.parametrize("a", [-2.0, -0.5, 0.3, 0.75, 1.0])
+    @pytest.mark.parametrize("c", [0.05, 0.5, 0.95])
+    def test_matches_series(self, a, c):
+        for b, d in itertools.product((0.3, 2.0, 20.0), (0.0, 0.3, 1.0, 4.0)):
+            p = TdlParams(a, b, c, d)
+            ref = series_pmf("tdl", p, 200).p
+            cdf = _family_cdf(*_tdl_family(p))
+            if cdf is None:
+                # longer than GDS_TABLE_MAX: the series shows mass past 200
+                assert math.fsum(ref) < 1.0 - 1e-15, p
+                continue
+            m = min(len(cdf), len(ref))
+            np.testing.assert_allclose(np.diff(cdf, prepend=0.0)[:m], ref[:m], rtol=0, atol=1e-13,
+                                       err_msg=str(p))
+            np.testing.assert_allclose(cdf[:m], np.cumsum(ref)[:m], rtol=0, atol=1e-13,
+                                       err_msg=str(p))
+            # the table leaves out less than 1e-16 of the series' mass
+            assert math.fsum(ref[len(cdf):]) < 1e-16, p
+
+    @pytest.mark.parametrize("p, kmax", [
+        (TdlParams(0.5, 1e3, 0.5, 0.0), 700),
+        (TdlParams(-1.0, 1e3, 0.05, 0.0), 300),
+        (TdlParams(0.75, 1e3, 0.3, 0.5), 3000),
+        (TdlParams(-0.5, 2e3, 0.2, 1.0), 8000),
+    ])
+    def test_auto_gof_at_a_large_b(self, p, kmax):
+        assert _family_cdf(*_tdl_family(p), _family_table_max(p, N)) is not None
+        batch = sample_batch("tdl", p, N, seed=77)
+        report = chi_square_gof(batch, build_pmf_table(p, kmax))
+        assert report.p_value > 0.001
+
+    @pytest.mark.parametrize("p", [
+        TdlParams(-1.0, 1.0, 0.5, 1.0), TdlParams(-0.5, 3.0, 0.05, 0.0),
+        TdlParams(0.5, 1.0, 0.5, 1.0), TdlParams(0.75, 2.0, 0.9, 0.0),
+    ])
+    def test_auto_inverts_the_family_table_where_it_fits(self, p):
+        n = 1000
+        cdf = _family_cdf(*_tdl_family(p), _family_table_max(p, n))
+        want = _table_draws(RngStream(71).generator, cdf, n)
+        np.testing.assert_array_equal(sample_batch("tdl", p, n, seed=71).values, want)
+
+    @pytest.mark.parametrize("law, params, order", [
+        ("poisson", PoissonParams(0.3), 40),
+        ("poisson", PoissonParams(20.0), 120),
+        ("poisson", PoissonParams(100.0), 200),
+        ("nb", NegativeBinomialParams(0.2, 0.5), 60),
+        ("nb", NegativeBinomialParams(0.8, 8.0), 200),
+    ])
+    def test_count_law_gof(self, law, params, order):
+        # drawn by inverting _count_cdf; the oracle's series is the reference
+        batch = sample_batch(law, params, N, seed=78)
+        report = chi_square_gof(batch, series_pmf(law, params, order))
+        assert report.p_value > 0.001
 
 
 class TestPositiveStable:
@@ -594,6 +686,14 @@ class TestGeneratorCaps:
             values = sample_batch(law, params, 1000, seed=1, route=route).values
         # the mean is b |a| c (1-c)^(a-1) = 5e-6 per draw
         assert values.dtype == np.int64 and values.min() >= 0 and values.sum() <= 3
+
+    def test_route_a_at_a_subnormal_c_draws(self):
+        # theta = 1/c - 1 overflows, but the tempering intensity b (1-c)^a
+        # is about 1: the draws are Poisson(TPS) of a scale near 1e-323
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = sample_batch("tdl", TdlParams(0.3, 1.0, 5e-324, 1.0), 5, 1, route="a").values
+        np.testing.assert_array_equal(values, np.zeros(5))
 
     def test_zero_mixture_scales_draw_zero(self):
         # Gamma(1e-10) mixture scales underflow to 0: a zero intensity, so
