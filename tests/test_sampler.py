@@ -368,6 +368,8 @@ class TestThinnedCompound:
         # tables of 24772 and 18563 entries would cost more than route c's draws
         (TdlParams(-2.0, 10.0, 0.9, 0.0), 1000),
         (TdlParams(-0.5, 1e3, 0.9, 0.0), 1000),
+        # a subnormal beta = b d: no family table is built
+        (TdlParams(-5.0, 1e-10, 0.99, 1e-305), 100000),
     ])
     def test_auto_is_the_compound_route_where_the_table_does_not_fit(self, p, n):
         assert _family_cdf(*_tdl_family(p), _family_table_max(p, n)) is None
@@ -408,7 +410,10 @@ class TestFamilyTable:
     @pytest.mark.parametrize("a", [-2.0, -0.5, 0.3, 0.75, 1.0])
     @pytest.mark.parametrize("c", [0.05, 0.5, 0.95])
     def test_matches_series(self, a, c):
-        for b, d in itertools.product((0.3, 2.0, 20.0), (0.0, 0.3, 1.0, 4.0)):
+        # a small d makes |power| = 1/d large, which multiplies any digits
+        # log |G| loses: 1e-3, 1e-8 and 1e-20 check that it loses none
+        ds = (0.0, 1e-20, 1e-8, 1e-3, 0.3, 1.0, 4.0)
+        for b, d in itertools.product((0.3, 2.0, 20.0), ds):
             p = TdlParams(a, b, c, d)
             ref = series_pmf("tdl", p, 200).p
             cdf = _family_cdf(*_tdl_family(p))
@@ -429,12 +434,34 @@ class TestFamilyTable:
         (TdlParams(-1.0, 1e3, 0.05, 0.0), 300),
         (TdlParams(0.75, 1e3, 0.3, 0.5), 3000),
         (TdlParams(-0.5, 2e3, 0.2, 1.0), 8000),
+        # a small d: |power| = 1/d = 1e20
+        (TdlParams(0.5, 1.0, 0.5, 1e-20), 300),
+        (TdlParams(-1.0, 2.0, 0.5, 1e-20), 300),
     ])
-    def test_auto_gof_at_a_large_b(self, p, kmax):
+    def test_auto_gof_in_the_table_regime(self, p, kmax):
         assert _family_cdf(*_tdl_family(p), _family_table_max(p, N)) is not None
         batch = sample_batch("tdl", p, N, seed=77)
         report = chi_square_gof(batch, build_pmf_table(p, kmax))
         assert report.p_value > 0.001
+
+    def test_auto_gof_at_a_million_draws(self):
+        # acceptance criterion 5 once drew this point on seed 20260808,
+        # stream 1008, and got p = 9.0e-4 at 1e5 draws; the same uniforms
+        # begin a batch of 1e6, whose GOF shows no departure from the law
+        p, n = TdlParams(0.75, 1.0, 0.3, 0.5), 10**5
+        first = sample_batch("tdl", p, n, seed=20260808, stream=1008)
+        batch = sample_batch("tdl", p, 10 * n, seed=20260808, stream=1008)
+        np.testing.assert_array_equal(batch.values[:n], first.values)
+        assert chi_square_gof(batch, build_pmf_table(p, 300)).p_value > 0.001
+
+    @pytest.mark.parametrize("p", [
+        # beta = b d is subnormal: |power| = 1/d would multiply its lost digits
+        TdlParams(-5.0, 1e-10, 0.99, 1e-305), TdlParams(-2.0, 1e-6, 0.999, 1e-308),
+        # power = -1/d overflows
+        TdlParams(0.5, 1e10, 0.5, 1e-310),
+    ])
+    def test_no_family_table_at_a_subnormal_beta_or_an_infinite_power(self, p):
+        assert _family_cdf(*_tdl_family(p)) is None
 
     @pytest.mark.parametrize("p", [
         TdlParams(-1.0, 1.0, 0.5, 1.0), TdlParams(-0.5, 3.0, 0.05, 0.0),
