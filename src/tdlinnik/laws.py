@@ -184,9 +184,9 @@ def sample_batch(
     the same with GDS-Sibuya(a, c) jumps; at c = 1 it is route a, which
     needs no tempering there.  An explicit route "a" keeps the
     Poisson(TPS) identity, which rejects for a > 0 and c < 1 and raises
-    :class:`RejectionBudgetExceeded` after ``max_tries`` rounds;
-    ``max_tries`` also bounds the expected tries per draw of the
-    GDS-Sibuya thinning sampler.
+    :class:`RejectionBudgetExceeded` after ``max_tries`` rounds.
+    ``max_tries`` bounds only that tempering rejection, of routes a and b
+    and of tps and tpl; gds and routes c and d never reject.
     """
     from . import sampler
 

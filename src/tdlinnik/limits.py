@@ -13,8 +13,8 @@ DEFAULT_KMAX = 60
 #: hard cap on the series truncation order
 MAX_SERIES_ORDER = 200
 
-#: tries per draw allowed to the rejection samplers: the rounds of the
-#: tempering step, and the expected tries of GDS-Sibuya thinning
+#: tries per draw allowed to the one rejection step, the tempering of
+#: routes a and b and of tps and tpl (up front in expectation, then in rounds)
 DEFAULT_MAX_TRIES = 10**6
 
 TDL_ROUTES = ("auto", "a", "b", "c", "d")

@@ -35,38 +35,37 @@ Generation routes follow the mixture/compound identities of the family:
                         NB(c, -a N), N ~ Poisson(b (1-c)^a) or NB with
                         q = b d (1-c)^a
     d     (a in (0,1])  a sum of Poisson(b |h|) or NB(q/(1+q), 1/d) with
-                        q = b d |h| jumps GDS-Sibuya(a, c) given > 0
+                        q = b d |h| jumps GDS-Sibuya(a, c) given > 0; past
+                        the jump table, or at c = 1, a sum of Poisson(b) or
+                        NB with q = b d down-weighted Sibuya jumps (below)
     auto  for c < 1 the law's own PMF table, inverted, where it fits and
           pays (below); else route c for a < 0, route d for a in (0, 1];
           route a at c = 1.
 
-Routes c and d draw only the non-zero jumps: of a Poisson or NB number of
-jumps with mass (1-c)^|a| at zero, the non-zero ones are a count of the
-same family thinned to mean b |h| (the (a, b, 0) primaries of Panjer's
-recursion), and they are the jump law given X > 0, with mass
-|binom(a, j)| c^j / |h| at j >= 1.  Counts and jumps are drawn by
-inverting CDF tables that are sized before any work; a count whose table
-would pass ``GDS_TABLE_MAX`` entries comes from numpy's Poisson or NB
-generator.  Route a's intensity B c^a, and B (1-c)^a of its tempering step
-for a < 0, are formed as sums of logs, so a c^a past double precision does
-not overflow an intensity of order one.
+Where the jump table fits, routes c and d draw only the non-zero jumps: of
+a Poisson or NB number of jumps with mass (1-c)^|a| at zero, the non-zero
+ones are a count of the same family thinned to mean b |h| (the (a, b, 0)
+primaries of Panjer's recursion), each with mass |binom(a, j)| c^j / |h|
+at j >= 1.  Route a's intensity B c^a, and B (1-c)^a of its tempering step
+for a < 0, are formed as sums of logs, so a c^a past double precision
+does not overflow an intensity of order one.
 
-Route auto's table is one inverse FFT of the closed-form p.g.f.
-outer(beta ((1-cs)^a - (1-c)^a)) at the M-th roots of unity (Abate &
-Whitt 1992), sized before any work by a Chernoff bound on its tail at
-fixed real s in (1, 1/c).  It is built while it has at most
-``GDS_TABLE_MAX`` entries and its build costs no more than the compound
-route's draws would (:func:`_family_table_max`), and not where b d is
-subnormal or 1/d overflows.  It shares no code with the Panjer tables and
-the series oracle that check it.
+Counts, jumps, the gds law and route auto invert CDF tables, each sized
+before any work by one rule, :func:`_table_size`, and used while it has
+at most ``GDS_TABLE_MAX`` entries.  Route auto's table is one inverse FFT
+of the closed-form p.g.f. outer(beta ((1-cs)^a - (1-c)^a)) at the M-th
+roots of unity (Abate & Whitt 1992), built only where that costs no more
+than the compound route's draws (:func:`_family_table_max`), and not where
+b d is subnormal or 1/d overflows.  It shares no code with the Panjer
+tables and the series oracle that check it.
 
 Route auto, the default, has no tempering rejection: its table and routes
 c and d have no tempering step, and route a skips it at c = 1
 (theta = 0).  Only the explicit routes a and b (and tps, tpl) temper: by
 rejection for a > 0 and c < 1, as a Poisson sum of Gammas for a < 0.
-Both rejection steps, tempering and GDS-Sibuya thinning (below), know
-their expected tries per draw before they start and raise
-:class:`RejectionBudgetExceeded` up front when it exceeds ``max_tries``.
+The rejection knows its expected tries per draw before it starts and
+raises :class:`RejectionBudgetExceeded` up front when that exceeds
+``max_tries``, which bounds nothing else.
 
 The poisson and nb laws invert the count tables of routes c and d.  Past
 ``GDS_TABLE_MAX`` entries, and in route a and the tempered laws, Poisson,
@@ -80,12 +79,12 @@ representation: P(X > k | W) = W^k with W ~ Beta(1-gamma, gamma), so
 X = ceil(log(U) / log(W)).  (Sequential inversion of the pmf recurrence
 p_{k+1} = p_k (k-gamma)/(k+1), used for tabulation, has infinite expected
 cost per draw because the law has no mean.)  Draws beyond the 1e9 support
-cap raise :class:`HeavyTailOverflow`.  The GDS-Sibuya law is 0 with
-probability (1-tau)^gamma, else a non-zero jump of route d from the same
-sampler: the inverted table of |binom(gamma, k)| tau^k while it has at
-most ``GDS_TABLE_MAX`` entries, past it a Sibuya X kept with probability
-tau^X.  Compound draws take their jumps ``JUMP_BLOCK`` at a time, so their
-memory does not grow with the number of jumps.
+cap raise :class:`HeavyTailOverflow`.  Past its table, and at tau = 1,
+GDS-Sibuya(gamma, tau) is drawn by geometric down-weighting, exactly and
+with no rejection: a Sibuya(gamma) draw Y kept with probability tau^Y,
+else 0 (Devroye 1993, *Statist. Probab. Lett.* 18(5)).  Compound draws
+take their jumps ``JUMP_BLOCK`` at a time, so their memory does not grow
+with the number of jumps.
 """
 
 from __future__ import annotations
@@ -121,7 +120,8 @@ from .params import (
 #: support cap for heavy-tailed integer draws
 SIBUYA_SUPPORT_CAP = 10**9
 
-#: longest inversion table of jumps or counts; longer ones take another method
+#: longest inversion table (counts, jumps, the gds law, route auto's); longer
+#: ones take another method
 GDS_TABLE_MAX = 1 << 17
 
 #: jumps drawn at a time by the compound routes c and d
@@ -146,11 +146,11 @@ _CLOSED_FORM_JUMPS = 9.0
 #: P(0) on; below it searching every u is cheaper (same draws either way)
 _ZERO_SPLIT_MIN = 0.4
 
-#: log of the mass a count, jump or family CDF table may leave out
+#: log of the mass an inversion table may leave out
 _LOG_TABLE_TAIL = math.log(1e-17)
 
-#: the points s = c^-f, f in (0, 1), of a family table's Chernoff bound:
-#: geometric ladders toward s = 1 and toward the singularity at s = 1/c
+#: the points s = sigma^f, f in (0, 1), of every table's Chernoff bound:
+#: geometric ladders toward s = 1 and toward the p.g.f.'s radius sigma
 _LADDER = 2.0 ** -(np.arange(1, 97) / 4)
 _CHERNOFF_F = np.concatenate((_LADDER, 1.0 - _LADDER))
 
@@ -253,23 +253,19 @@ def _sample_sibuya(gen, p: SibuyaParams, n: int, route=None, max_tries=None) -> 
     return _capped(_sibuya_float(gen, p.gamma, n))
 
 
-def _thin_sibuya(gen: np.random.Generator, gamma: float, tau: float, m: int) -> np.ndarray:
-    """m draws of GDS-Sibuya(gamma, tau) given X > 0: Sibuya(gamma) draws X,
-    each kept with probability tau^X and redrawn until kept.  A rejected X
-    beyond the Sibuya support cap is discarded; only a kept one raises."""
-    out = np.empty(m, dtype=np.int64)
-    active = np.arange(m)
-    log_tau = math.log(tau)
-    while active.size:
-        x = _sibuya_float(gen, gamma, active.size)
-        keep = np.log(1.0 - gen.random(active.size)) <= x * log_tau
-        out[active[keep]] = _capped(x[keep])
-        active = active[~keep]
-    return out
+def _gds_draws(gen: np.random.Generator, gamma: float, tau: float, m: int) -> np.ndarray:
+    """m GDS-Sibuya(gamma, tau) draws: a Sibuya(gamma) Y kept with
+    probability tau^Y, else 0, has p.g.f. E[(tau s)^Y] + 1 - E[tau^Y] =
+    1 + (1-tau)^gamma - (1 - tau s)^gamma.  A Y past the support cap that
+    is not kept is 0; only a kept one raises."""
+    y = _sibuya_float(gen, gamma, m)
+    if tau < 1.0:
+        y[np.log(1.0 - gen.random(m)) > y * math.log(tau)] = 0.0
+    return _capped(y)
 
 
 # ---------------------------------------------------------------------------
-# non-zero jumps (routes c and d, the gds law) and the thinned counts of c and d
+# inversion tables: jumps of routes c and d, the gds law, the counts of c and d
 
 
 def _table_search(cdf: np.ndarray):
@@ -324,38 +320,30 @@ def _table_draws(gen: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarra
     return out
 
 
-def _table_len(log_tail) -> int | None:
-    """The smallest table length K <= ``GDS_TABLE_MAX`` whose left-out mass,
-    bounded by exp(log_tail(K)), is below 1e-17, or None if there is none.
-    log_tail must not increase with K; the search costs O(log K) calls."""
-    if not log_tail(GDS_TABLE_MAX) < _LOG_TABLE_TAIL:
+def _log1m_cs(log_c: float, f: np.ndarray) -> np.ndarray:
+    """log(1 - cs) at s = c^-f: log1p(-cs) where cs < 1/2, log(-expm1(.))
+    above, so that neither end loses digits."""
+    y = log_c * (1.0 - f)
+    return np.where(y < -math.log(2.0), np.log1p(-np.exp(y)), np.log(-np.expm1(y)))
+
+
+def _table_size(log_sigma: float, log_pgf) -> int | None:
+    """The last index K of a table over k = 0..K that leaves out less than
+    1e-17 of a count law whose p.g.f. G converges for s < sigma, or None
+    past ``GDS_TABLE_MAX`` (or at sigma <= 1).  P(X > K) is at most the
+    Chernoff bound G(s) / s^(K+1), so K is the least
+    floor((log G(s) - log 1e-17) / log s) over s = sigma^f, f in
+    ``_CHERNOFF_F``, and at least 1, so that the table holds the mean.
+    ``log_pgf(f)`` gives log G(sigma^f); a point where it is not finite
+    is dropped."""
+    if not 0.0 < log_sigma < math.inf:
         return None
-    lo, hi = 0, GDS_TABLE_MAX
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if log_tail(mid) < _LOG_TABLE_TAIL:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _nb_log_tail(k: float, pi: float, delta: float) -> float:
-    """Log of the Chernoff bound on P(X >= k) for X ~ NB(pi, delta), k >= 1;
-    0 (the trivial bound) while k is at most the mean delta pi/(1-pi), and
-    -inf at pi = 0, a point mass at 0."""
-    if pi == 0.0:
-        return -math.inf
-    if k * (1.0 - pi) <= delta * pi:
-        return 0.0
-    return (delta * math.log1p(-pi) + k * math.log(pi)
-            + delta * math.log1p(k / delta) + k * math.log1p(delta / k))
-
-
-def _poisson_log_tail(k: float, lam: float) -> float:
-    """Log of the Chernoff bound on P(X >= k) for X ~ Poisson(lam); 0 while
-    k <= lam."""
-    return k - lam + k * (math.log(lam) - math.log(k)) if k > lam else 0.0
+    with np.errstate(all="ignore"):
+        k = (log_pgf(_CHERNOFF_F) - _LOG_TABLE_TAIL) / (log_sigma * _CHERNOFF_F)
+    k = k[np.isfinite(k)]
+    if not k.size or not k.min() <= GDS_TABLE_MAX:
+        return None
+    return max(int(k.min()), 1)
 
 
 def _log_jump_mass(a: float, c: float) -> float:
@@ -370,75 +358,37 @@ def _log_jump_mass(a: float, c: float) -> float:
     return math.log(-math.expm1(x)) if x < 0 else -math.inf  # a c below the subnormals
 
 
-def _jump_cdf(a: float, c: float) -> np.ndarray | None:
-    """CDF table over j = 1, 2, ... of the non-zero jumps of routes c and d,
-    c < 1, or None where it would pass ``GDS_TABLE_MAX`` entries.
-
-    The jumps are NB(c, -a) (a < 0) or GDS-Sibuya(a, c) (a > 0) given
-    X > 0; both put mass r_j / |h| on j >= 1, with r_j = |binom(a, j)| c^j
-    and |h| = |(1-c)^a - 1| = sum of r_j.  The table is built from r_j
-    itself and normalised by its own sum, so no P(0) is ever subtracted.
-    It is sized before any work: for a > 0, r_j / |h| <= c^(j-1) leaves a
-    tail of at most c^K / (1-c) beyond K entries; for a < 0 the tail is the
-    Chernoff bound of NB(c, -a) at K + 1 over P(X > 0).
-    """
-    if a > 0:
-        log_c, log_1mc = math.log(c), math.log1p(-c)
-        size = _table_len(lambda k: k * log_c - log_1mc)
-    else:
-        log_nz = math.log(-math.expm1(-a * math.log1p(-c)))  # P(X > 0)
-        size = _table_len(lambda k: _nb_log_tail(k + 1, c, -a) - log_nz)
+def _jump_cdf(a: float, c: float, zero: bool = False) -> np.ndarray | None:
+    """CDF table over j = 0, 1, ... of the jumps of routes c and d given
+    X > 0, NB(c, -a) (a < 0) or GDS-Sibuya(a, c) (a > 0), or with ``zero``
+    of the GDS-Sibuya(a, c) law itself; None at c = 1 or past
+    ``GDS_TABLE_MAX`` entries.  Its weights are P(0), which is 0 given
+    X > 0 and (1-c)^a at ``zero``, and r_j = |binom(a, j)| c^j, whose sum
+    is |h| = |(1-c)^a - 1|; normalised by their own sum, they never
+    subtract a P(0).  Its p.g.f., (P(0) + |(1-cs)^a - 1|) / (P(0) + |h|),
+    converges for s < 1/c."""
+    if c == 1.0:
+        return None
+    log_c = math.log(c)
+    p0 = math.exp(a * math.log1p(-c)) if zero else 0.0
+    log_norm = 0.0 if zero else _log_jump_mass(a, c)
+    size = _table_size(-log_c, lambda f: np.log(
+        p0 + np.abs(np.expm1(a * _log1m_cs(log_c, f)))) - log_norm)
     if size is None:
         return None
-    cdf = np.cumsum(_abs_binom_sequence(a, size, damp=c)[1:])
+    cdf = _abs_binom_sequence(a, size, damp=c)
+    cdf[0] = p0
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     return cdf
 
 
-def _jump_sampler(a: float, c: float, max_tries: int):
-    """A function ``draw(gen, m)`` giving m non-zero jumps of routes c and d
-    and of the GDS-Sibuya law: :func:`_jump_cdf` inverted, or None where
-    a < 0 and that table would be too long.  Past it, a > 0 thins Sibuya
-    draws (cheaper than so long a table), after raising
-    :class:`RejectionBudgetExceeded` if 1 / (1 - (1-c)^a) expected tries
-    per draw exceed ``max_tries``.  At c = 1 the jumps are Sibuya(a) draws.
-    """
-    if c == 1.0:
-        return lambda gen, m: _capped(_sibuya_float(gen, a, m))
-    cdf = _jump_cdf(a, c)
-    if cdf is not None:
-        search = _table_search(cdf)
-
-        def draw(gen: np.random.Generator, m: int) -> np.ndarray:
-            j = search(gen.random(m))
-            j += 1
-            return j
-
-        return draw
-    if a < 0:
-        return None
-    accept = -math.expm1(a * math.log1p(-c))
-    if accept * max_tries < 1.0:
-        raise RejectionBudgetExceeded(
-            f"GDS-Sibuya thinning expects {1.0 / accept:.4g} tries per draw, "
-            f"above max_tries = {max_tries} (acceptance rate 1 - (1-tau)^gamma too small)"
-        )
-    return lambda gen, m: _thin_sibuya(gen, a, c, m)
-
-
-def _sample_gds(gen, p: GdsSibuyaParams, n: int, route=None,
-                max_tries=DEFAULT_MAX_TRIES) -> np.ndarray:
-    """GDS-Sibuya(gamma, tau): 0 with probability (1-tau)^gamma, else a
-    non-zero jump of route d, from :func:`_jump_sampler`."""
-    if _log_jump_mass(p.gamma, p.tau) == -math.inf:
-        return np.zeros(n, dtype=np.int64)
-    draw = _jump_sampler(p.gamma, p.tau, max_tries)
-    if p.tau == 1.0:
-        return draw(gen, n)
-    out = np.zeros(n, dtype=np.int64)
-    nz = np.flatnonzero(gen.random(n) >= math.exp(p.gamma * math.log1p(-p.tau)))
-    out[nz] = draw(gen, nz.size)
-    return out
+def _sample_gds(gen, p: GdsSibuyaParams, n: int, route=None, max_tries=None) -> np.ndarray:
+    """GDS-Sibuya(gamma, tau): its own table inverted, else :func:`_gds_draws`."""
+    cdf = _jump_cdf(p.gamma, p.tau, zero=True)
+    if cdf is None:
+        return _gds_draws(gen, p.gamma, p.tau, n)
+    return _table_draws(gen, cdf, n)
 
 
 def _count_cdf(mean: float, d: float) -> np.ndarray | None:
@@ -447,21 +397,24 @@ def _count_cdf(mean: float, d: float) -> np.ndarray | None:
     Panjer's recursion, or None where no table is drawn from.
 
     The table follows P(k)/P(k-1) = A + B/k from P(0) = 1 and is normalised
-    by its own sum.  It is used while its length, sized before any work by
-    the Chernoff bound of the count's tail, is at most ``GDS_TABLE_MAX``
-    and its P(0) is a normal double, so that the running product cannot
-    overflow.
+    by its own sum.  It is used while it fits (:func:`_table_size`) and its
+    P(0) is a normal double, so that the running product cannot overflow.
     """
     if not mean > 0.0:
         return None
     if d == 0:
+        # G(s) = exp(mean (s - 1)) is entire; sigma holds the Chernoff
+        # optimum s = (K+1)/mean of every K that the bound can return
         log_p0, A, B = -mean, 0.0, mean
-        size = _table_len(lambda k: _poisson_log_tail(k + 1, mean))
+        log_sigma = math.log(2.0 * (mean - _LOG_TABLE_TAIL)) - math.log(mean)
+        size = _table_size(log_sigma, lambda f: mean * np.expm1(log_sigma * f))
     else:
         q, delta = d * mean, 1.0 / d
         pi = q / (1.0 + q)
         log_p0, A, B = -delta * math.log1p(q), pi, pi * (delta - 1.0)
-        size = _table_len(lambda k: _nb_log_tail(k + 1, pi, delta))
+        # G(s) = ((1-pi)/(1-pi s))^delta converges for s < 1/pi
+        log_pi = math.log(pi) if pi > 0.0 else -math.inf  # q = d mean underflowed to 0
+        size = _table_size(-log_pi, lambda f: delta * (-math.log1p(q) - _log1m_cs(log_pi, f)))
     if size is None or log_p0 < _LOG_TINY:
         return None
     cdf = np.empty(size + 1)
@@ -519,18 +472,22 @@ def _compound(gen: np.random.Generator, counts: np.ndarray, draw) -> np.ndarray:
 # the family's own PMF table (route auto)
 
 
-def _family_log_pgf(a: float, c: float, beta: float, power, log_w, arg_w) -> tuple:
+def _family_log_pgf(a: float, c: float, beta: float, power, log_r, arg_w) -> tuple:
     """log |G| and arg G of G(s) = outer(beta ((1-cs)^a - (1-c)^a)), outer
-    x^power of 1 + x, or exp at ``power`` None, from log |w| and arg w of
-    w = 1 - cs.  In polar form a real s (arg w = 0) and the unit circle
-    share one evaluation in real arithmetic.  log |1 + x| is formed from x,
-    as log1p(x_re (2 + x_re) + x_im^2) / 2, so a small x keeps its digits
+    x^power of 1 + x, or exp at ``power`` None, from log |r| and arg r of
+    r = (1 - cs) / (1 - c).  In polar form a real s (arg r = 0) and the
+    unit circle share one evaluation in real arithmetic.  The inner term is
+    beta (1-c)^a (r^a - 1), with r^a - 1 formed from expm1 and sin^2, so it
+    keeps its digits where (1-cs)^a and (1-c)^a agree in most of theirs (a
+    small c).  log |1 + x| is formed from x, as
+    log1p(x_re (2 + x_re) + x_im^2) / 2, so a small x keeps its digits
     however large |power| is.  At a real s, G is finite and positive only
     where log |G| is finite and arg G is 0: 1 + x <= 0 gives an infinite
     modulus or an argument of power pi."""
-    mod = np.exp(a * log_w)
-    re = beta * (mod * np.cos(a * arg_w) - np.exp(a * np.log1p(-c)))
-    im = beta * mod * np.sin(a * arg_w)
+    scale = beta * np.exp(a * np.log1p(-c))
+    theta = a * arg_w
+    re = scale * (np.expm1(a * log_r) * np.cos(theta) - 2.0 * np.sin(0.5 * theta) ** 2)
+    im = scale * np.exp(a * log_r) * np.sin(theta)
     if power is None:
         return re, im
     log_mod = 0.5 * np.log1p(re * (2.0 + re) + im * im)
@@ -544,12 +501,11 @@ def _family_cdf(a: float, c: float, beta: float, power,
     the law registry (``power`` None for exp), or None where it would pass
     ``max_len`` or ``GDS_TABLE_MAX`` entries.
 
-    It is sized before any work by :func:`_table_len`: the tail beyond K
-    entries is at most the Chernoff bound G(s) / s^(K+1), taken at the best
-    s = c^-f of ``_CHERNOFF_F`` where G is finite.  The table is then one
-    inverse FFT of G at the M-th roots of unity, M the first power of two
-    above K (Abate & Whitt 1992, *Oper. Res. Lett.* 12(5)), so the aliased
-    mass is that bounded tail.  Negative round-off is clipped to 0 and the
+    It is sized before any work by :func:`_table_size`, from G itself,
+    which converges for s < 1/c, and is then one inverse FFT of G at the
+    M-th roots of unity, M the first power of two above K (Abate & Whitt
+    1992, *Oper. Res. Lett.* 12(5)), so the aliased mass is that bounded
+    tail.  Negative round-off is clipped to 0 and the
     table is normalised by its own sum.  A subnormal beta, or an infinite
     power, is refused: |power| would multiply the digits beta has lost.
     """
@@ -558,26 +514,27 @@ def _family_cdf(a: float, c: float, beta: float, power,
     if power is not None and not (abs(beta) >= sys.float_info.min and math.isfinite(power)):
         return None
     log_c = math.log(c)
-    with np.errstate(all="ignore"):
-        log_g, arg_g = _family_log_pgf(
-            a, c, beta, power, np.log(-np.expm1(log_c * (1.0 - _CHERNOFF_F))), 0.0)
-    finite = np.isfinite(log_g) & (arg_g == 0.0)
-    if not finite.any():
-        return None
-    log_g, log_s = log_g[finite], -log_c * _CHERNOFF_F[finite]
-    size = _table_len(lambda k: float(np.min(log_g - (k + 1) * log_s)))
+
+    def log_pgf(f):
+        # G is finite and positive at a real s only where arg G is 0
+        log_r = _log1m_cs(log_c, f) - math.log1p(-c)
+        log_g, arg_g = _family_log_pgf(a, c, beta, power, log_r, 0.0)
+        return np.where(arg_g == 0.0, log_g, np.nan)
+
+    size = _table_size(-log_c, log_pgf)
     if size is None or size > max_len:
         return None
     m = 1 << size.bit_length()
     g = np.empty(m // 2 + 1, complex)
     for lo in range(0, len(g), _PGF_BLOCK):
         phi = np.arange(lo, min(lo + _PGF_BLOCK, len(g))) * (2.0 * math.pi / m)
-        re_w = 2.0 * c * np.sin(0.5 * phi) ** 2 + (1.0 - c)  # 1 - c cos(phi), no cancellation
-        im_w = c * np.sin(phi)
+        # |1 - c e^(i phi)|^2 = (1-c)^2 + 4 c sin^2(phi/2), and its real part
+        # 1 - c cos(phi) = (1-c) + 2 c sin^2(phi/2): neither cancels
+        sin2 = np.sin(0.5 * phi) ** 2
         with np.errstate(all="ignore"):
             log_g, arg_g = _family_log_pgf(a, c, beta, power,
-                                           0.5 * np.log(re_w * re_w + im_w * im_w),
-                                           np.arctan2(im_w, re_w))
+                                           0.5 * np.log1p(4.0 * c * sin2 / (1.0 - c) ** 2),
+                                           np.arctan2(c * np.sin(phi), 2.0 * c * sin2 + (1.0 - c)))
             g[lo:lo + len(phi)] = np.exp(log_g + 1j * arg_g)
     pmf = np.fft.irfft(g, m)[: size + 1]
     cdf = np.cumsum(np.maximum(pmf, 0.0, out=pmf))  # a copy: the FFT's M entries are freed
@@ -705,34 +662,38 @@ def _poisson_mix(gen: np.random.Generator, t, n: int | None = None) -> np.ndarra
     return gen.poisson(t, size=n)
 
 
-def _compound_jumps(gen: np.random.Generator, p: TdlParams | TdsParams, n: int,
-                    max_tries: int) -> np.ndarray:
-    """Routes c and d: sums of the non-zero jumps of each draw.
+def _compound_jumps(gen: np.random.Generator, p: TdlParams | TdsParams, n: int) -> np.ndarray:
+    """Routes c and d: sums of the jumps of each draw.
 
     Of a Poisson(b) (d = 0) or NB(q/(1+q), 1/d) (d > 0, q = b d) number of
     GDS-Sibuya(a, c) jumps (a > 0), or of Poisson(b (1-c)^a) or NB with
     q = b d (1-c)^a NB(c, -a) jumps (a < 0), the non-zero ones are a count
     of the same family with mean b |h|, |h| = |(1-c)^a - 1|: the count is
-    thinned.  Both counts and jumps come from :func:`_nonzero_counts` and
-    :func:`_jump_sampler`.  For a < 0, above ``NEG_JUMPS_MAX`` non-zero
-    jumps per draw, or where the jump table would be too long, the closed
-    form NB(c, -a N) of the unthinned count N is cheaper.
+    thinned.  Where :func:`_jump_cdf` has a table, that count and the
+    inverted table draw them.  Past it, a > 0 draws the unthinned count,
+    of mean b, of :func:`_gds_draws`.  For a < 0, past it or above
+    ``NEG_JUMPS_MAX`` non-zero jumps per draw, the closed form NB(c, -a N)
+    of the unthinned count N is cheaper.
     """
     log_b = math.log(p.b)
     log_jumps = log_b + _log_jump_mass(p.a, p.c)
     if log_jumps == -math.inf:
         return np.zeros(n, dtype=np.int64)
-    draw = None
+    cdf = None
     if p.a > 0 or log_jumps <= math.log(NEG_JUMPS_MAX):
-        draw = _jump_sampler(p.a, p.c, max_tries)
-    if draw is None:
+        cdf = _jump_cdf(p.a, p.c)
+    if cdf is not None:
+        search = _table_search(cdf)
+        nz, counts = _nonzero_counts(gen, log_jumps, p.d, n)
+        values = _compound(gen, counts, lambda gen, m: search(gen.random(m)))
+    elif p.a > 0:
+        nz, counts = _nonzero_counts(gen, log_b, p.d, n)
+        values = _compound(gen, counts, lambda gen, m: _gds_draws(gen, p.a, p.c, m))
+    else:
         nz, counts = _nonzero_counts(gen, log_b + p.a * math.log1p(-p.c), p.d, n)
         shapes = -p.a * counts
         del counts  # freed before the NB draw, like the uniforms of the counts
         values = _nb_vec(gen, p.c, shapes)
-    else:
-        nz, counts = _nonzero_counts(gen, log_jumps, p.d, n)
-        values = _compound(gen, counts, draw)
     out = np.zeros(n, dtype=np.int64)
     out[nz] = values
     return out
@@ -785,7 +746,7 @@ def _sample_tdl(
                 return _table_draws(gen, cdf, n)
         route = "c" if p.a < 0 else "d" if p.c < 1 else "a"
     if route in ("c", "d"):
-        return _compound_jumps(gen, p, n, max_tries)
+        return _compound_jumps(gen, p, n)
     # routes a and b: Poisson(TPS(a, B c^a, 1/c - 1)) with B = b at d = 0
     # and B ~ Gamma(b d, 1/d) otherwise, formed in logs: B c^a, or for a < 0
     # the tempering intensity B c^a theta^a = B (1-c)^a, may pass double

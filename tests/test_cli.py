@@ -231,6 +231,13 @@ class TestSampleCommand:
         assert out.stdout == ""
         assert out.stderr == f"error: {message}\n"
 
+    def test_gds_past_its_table_samples_without_a_budget(self, runner):
+        # 1 - (1e-4)^1e-4 = 9.2e-4 of the Sibuya draws are kept, with no rejection
+        res = runner.invoke(main, ["sample", "--law", "gds", "--gamma", "1e-4", "--tau", "0.9999",
+                                   "-n", "1000", "--seed", "1", "--max-tries", "100"])
+        assert res.exit_code == 0, res.output
+        assert len(res.output.split()) == 1000
+
     def test_small_gamma_route_a_samples(self, runner):
         res = runner.invoke(main, ["sample", "--law", "tdl", "-a", "0.01", "-b", "1", "-c", "0.5",
                                    "-d", "0", "--route", "a", "-n", "10000", "--seed", "1"])

@@ -7,9 +7,14 @@ laws go through every analytic front end.  Each call must return or raise
 a ``TdlError`` subclass, print no warning, and take at most about ten
 times the median call of its front end on its law.
 
-The table of route auto, ``sampler._family_cdf``, is held to the same rule
-on every tdl/tds point of the sample and of the float box below: it must
-return a CDF table or None.
+Every inversion table of the sampler is held to the same rule on every
+tdl/tds point of the sample and of the float box below, and on the count
+laws' extreme points: route auto's ``sampler._family_cdf``, the Poisson
+and NB counts of ``sampler._count_cdf`` (the thinned and unthinned counts
+of routes c and d, and the poisson and nb laws), and the jump and gds
+tables of ``sampler._jump_cdf``.  Each must return a CDF table or None,
+and a table's mean must match the law's closed-form mean wherever that is
+a finite normal double, so a table cut short shows.
 
 The sampling half holds ``sample_batch`` to the same rule wherever its work
 per draw is bounded today, on this sample and on the whole float box (a
@@ -24,6 +29,8 @@ until that is bounded (ROADMAP item 6).
 
 import dataclasses
 import itertools
+import math
+import sys
 import statistics
 import time
 import warnings
@@ -52,7 +59,7 @@ from tdlinnik import (
 )
 from tdlinnik.cli import main
 from tdlinnik.laws import LAWS
-from tdlinnik.sampler import _family_cdf, _tdl_family
+from tdlinnik.sampler import _count_cdf, _family_cdf, _jump_cdf, _log_jump_mass, _tdl_family
 
 SEED = 2016
 N_TDL = 300
@@ -147,10 +154,12 @@ def cli_pmf(tag, params):
 
 def assert_bounded(calls):
     """Time each (front end, law, call); no call may take more than SLOWDOWN
-    times the median of its front end on its law."""
-    times = {}
+    times the median of its front end on its law.  Returns what each call
+    returned or raised."""
+    times, outs = {}, []
     for front, tag, call in calls:
         seconds, out = timed(*call)
+        outs.append(out)
         times.setdefault((front, tag), []).append((seconds, call))
         if front == "build_pmf_table" and not isinstance(out, TdlError):
             follow = (moments_from_pmf, out)
@@ -163,6 +172,7 @@ def assert_bounded(calls):
                 # timed once more, so that one preemption alone fails nothing
                 seconds = min(seconds, timed(*call)[0])
             assert seconds <= bound, (key, call[1:], seconds, bound)
+    return outs
 
 
 def draw(tag, params, route):
@@ -222,13 +232,76 @@ def test_every_draw_on_the_float_box_returns_or_fails_typed_in_bounded_time():
     assert_bounded(calls)
 
 
-def family_table(p):
-    """Route auto's family table of a tdl or tds record: a CDF or None."""
-    cdf = _family_cdf(*_tdl_family(p))
-    assert cdf is None or (cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)), p
-    return cdf
+def _exp(x):
+    """exp(x), inf past double precision."""
+    return math.exp(x) if x < 709.0 else math.inf
 
 
-def test_every_family_table_is_a_cdf_or_none_in_bounded_time():
+def check_table(cdf, log_mean, where):
+    """A table is a CDF or None.  Where the law's mean exp(log_mean) is a
+    finite normal double, the table's mean, the sum of P(X > k) below its
+    end, matches it to rel 1e-9.  A CDF held in doubles resolves a mean
+    only up to its running sums' rounding, about k ulps of 1 at entry k, so
+    K^2 ulps over K entries are allowed on top: 4e-6 at 2^17 entries, so a
+    table cut short by 1e-9 of its mass at k >= 1e3 still fails."""
+    if cdf is None:
+        return
+    assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0), where
+    mean = _exp(log_mean)
+    if sys.float_info.min <= mean < math.inf:
+        got = math.fsum(1.0 - cdf[:-1])
+        assert abs(got - mean) <= 1e-9 * mean + len(cdf) ** 2 * sys.float_info.epsilon, (
+            where, got, mean)
+
+
+def family_tables(p):
+    """Route auto's table of a tdl or tds record, of mean -beta a c (1-c)^(a-1),
+    times power where the outer function is one."""
+    a, c, beta, power = _tdl_family(p)
+    log_mean = -math.inf
+    if 0.0 < c < 1.0 and beta != 0.0:
+        log_mean = (math.log(abs(beta)) + math.log(abs(a)) + math.log(c)
+                    + (a - 1) * math.log1p(-c) + (0.0 if power is None else math.log(abs(power))))
+    return [("_family_cdf", "tdl", _family_cdf, (a, c, beta, power), log_mean)]
+
+
+def compound_tables(p):
+    """The count and jump tables routes c and d would draw for a tdl or tds
+    record with c < 1: the thinned count (mean b |h|) and the unthinned
+    ones (mean b for a > 0, b (1-c)^a for a < 0), the jumps given X > 0 and,
+    for 0 < a <= 1, the gds law of the jumps."""
+    if p.a == 0.0 or not 0.0 < p.c < 1.0:
+        return []
+    log_b, log_h = math.log(p.b), _log_jump_mass(p.a, p.c)
+    count = "poisson" if p.d == 0 else "nb"
+    full = log_b + (0.0 if p.a > 0 else p.a * math.log1p(-p.c))
+    out = [("_count_cdf", count, _count_cdf, (_exp(m), p.d), m) for m in (log_b + log_h, full)]
+    # E[J] = |a| c (1-c)^(a-1), over |h| given J > 0
+    log_jump_mean = math.log(abs(p.a)) + math.log(p.c) + (p.a - 1) * math.log1p(-p.c)
+    if log_h > -math.inf:
+        out.append(("_jump_cdf", "jumps", _jump_cdf, (p.a, p.c), log_jump_mean - log_h))
+    if 0.0 < p.a <= 1.0:
+        out.append(("_jump_cdf", "gds", _jump_cdf, (p.a, p.c, True), log_jump_mean))
+    return out
+
+
+def law_tables(tag, params):
+    """The table the poisson, nb or gds law would invert."""
+    if tag == "poisson":
+        return [("_count_cdf", tag, _count_cdf, (params.lam, 0.0), math.log(params.lam))]
+    if tag == "nb":
+        mean = params.delta * params.pi / (1.0 - params.pi)
+        log_mean = math.log(params.delta) + math.log(params.pi) - math.log1p(-params.pi)
+        return [("_count_cdf", tag, _count_cdf, (mean, 1.0 / params.delta), log_mean)]
+    if tag == "gds":
+        return compound_tables(TdsParams(params.gamma, 1.0, params.tau))[-1:]
+    return []
+
+
+def test_every_table_is_a_cdf_or_none_in_bounded_time():
     points = tdl_points(SEED, N_TDL) + FLOAT_BOX
-    assert_bounded([("_family_cdf", "tdl", (family_table, p)) for p in points])
+    tables = [t for p in points for t in family_tables(p) + compound_tables(p)]
+    tables += [t for tag, p in OTHER_LAWS for t in law_tables(tag, p)]
+    outs = assert_bounded([(front, tag, (build, *args)) for front, tag, build, args, _ in tables])
+    for (front, _, _, args, log_mean), cdf in zip(tables, outs):
+        check_table(cdf, log_mean, (front, args))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -40,13 +41,11 @@ from tdlinnik import (
 )
 from tdlinnik import sampler
 from tdlinnik.sampler import (
-    DEFAULT_MAX_TRIES,
     _compound,
     _count_cdf,
     _family_cdf,
     _family_table_max,
     _jump_cdf,
-    _jump_sampler,
     _table_draws,
     _tdl_family,
 )
@@ -182,7 +181,7 @@ class TestGdsSibuya:
         est, se = empirical_pgf(batch, 0.5)
         assert abs(est - family_pgf("gds", params, 0.5)) < 4 * se
 
-    # P(0) = 0.62, 0.067 and 0.93; the non-zero draws come from route d's jump table
+    # P(0) = 0.62, 0.067 and 0.93; drawn by inverting the law's own table
     @pytest.mark.parametrize("gamma,tau", [(0.3, 0.8), (0.9, 0.95), (0.2, 0.3)])
     def test_gof(self, gamma, tau):
         params = GdsSibuyaParams(gamma, tau)
@@ -192,7 +191,8 @@ class TestGdsSibuya:
 
     @pytest.mark.parametrize("gamma,tau", [(0.5, 0.9999), (0.2, 0.99995)])
     def test_thinning_gof(self, gamma, tau):
-        assert _jump_cdf(gamma, tau) is None  # past the inversion table
+        # past the inversion table: Sibuya draws kept with probability tau^Y
+        assert _jump_cdf(gamma, tau, zero=True) is None
         params = GdsSibuyaParams(gamma, tau)
         batch = sample_batch("gds", params, N, seed=36)
         report = chi_square_gof(batch, series_pmf("gds", params, 200))
@@ -200,7 +200,7 @@ class TestGdsSibuya:
 
     @pytest.mark.parametrize("gamma,tau", [(0.3, 0.8), (0.7, 0.5)])
     def test_thinning_gof_on_short_tails(self, gamma, tau, monkeypatch):
-        # thinning where the series sees nearly all the mass
+        # down-weighting where the series sees nearly all the mass
         monkeypatch.setattr(sampler, "GDS_TABLE_MAX", 0)
         params = GdsSibuyaParams(gamma, tau)
         batch = sample_batch("gds", params, N, seed=37)
@@ -225,19 +225,39 @@ class TestGdsSibuya:
             mu, var = m.mu, m.sigma2
         assert abs(batch.values.mean() - mu) < 6 * math.sqrt(var / n)
 
-    def test_thinning_budget_fails_fast(self):
-        # acceptance rate 1 - (1e-4)^1e-4 = 9.2e-4: about 1087 tries per draw
+    def test_thinning_needs_no_budget(self):
+        # 1 - (1e-4)^1e-4 = 9.2e-4 of the Sibuya draws are kept: a rejection
+        # sampler of the non-zero values would take about 1087 tries per draw
+        gamma, tau, n = 1e-4, 0.9999, 100000
+        assert _jump_cdf(gamma, tau, zero=True) is None
         t0 = time.perf_counter()
-        with pytest.raises(RejectionBudgetExceeded):
-            sample_batch("gds", GdsSibuyaParams(1e-4, 0.9999), 10, seed=1, max_tries=100)
-        assert time.perf_counter() - t0 < 0.05
+        batch = sample_batch("gds", GdsSibuyaParams(gamma, tau), n, seed=1, max_tries=100)
+        assert time.perf_counter() - t0 < 0.5
+        want = (1 - tau) ** gamma
+        assert abs((batch.values == 0).mean() - want) < 4 * math.sqrt(want * (1 - want) / n)
+
+    @pytest.mark.parametrize("gamma, tau", [(0.2, 0.3), (0.5, 0.95), (0.9, 0.99)])
+    def test_table_matches_series(self, gamma, tau):
+        cdf = _jump_cdf(gamma, tau, zero=True)
+        m = min(len(cdf), 200)
+        with mp.workdps(40):
+            want = np.cumsum([mp.mpf(v) for v in series_pmf("gds", GdsSibuyaParams(gamma, tau), 200).p])
+            want = np.array([float(x) for x in want])
+            tail = _mass_past(gamma, tau, len(cdf) - 1)
+        np.testing.assert_allclose(cdf[:m], want[:m], rtol=1e-13, atol=0)
+        assert cdf[-1] == 1.0
+        assert tail < 1e-17
 
 
 class TestCompoundGds:
     def test_blocks_match_one_pass(self, monkeypatch):
         # jumps drawn in blocks of 7 sum as one pass over all of them does
         counts = np.array([0, 3, 0, 0, 12, 1, 7, 0, 25, 2, 0])
-        draw = _jump_sampler(0.5, 0.9, DEFAULT_MAX_TRIES)
+        search = sampler._table_search(_jump_cdf(0.5, 0.9))
+
+        def draw(gen, m):
+            return search(gen.random(m))
+
         jumps = draw(RngStream(81).generator, int(counts.sum()))
         csum = np.concatenate(([0], np.cumsum(jumps)))
         ends = np.cumsum(counts)
@@ -265,6 +285,18 @@ class TestCompoundGds:
         assert int(out.stdout) < 100 * 1024  # ru_maxrss is in KiB on Linux
 
 
+def _mass_past(a, c, k):
+    """sum over j > k of |binom(a, j)| c^j in mpmath: the mass a jump or
+    gds table over j <= k leaves out, times |h| for the jumps given X > 0."""
+    term = abs(mp.binomial(a, k + 1)) * mp.mpf(c) ** (k + 1)
+    total, j = mp.mpf(0), k + 1
+    while term > total * mp.mpf(10) ** -30:
+        total += term
+        term *= mp.mpf(c) * (j - mp.mpf(a)) / (j + 1)
+        j += 1
+    return total
+
+
 def _zero_truncated(law, params, order, p0):
     """CDF over k = 1..order of the series law given X > 0; p0 = P(0) in mpmath."""
     p = series_pmf(law, params, order).p[1:]
@@ -274,7 +306,8 @@ def _zero_truncated(law, params, order, p0):
 class TestThinnedCompound:
     """Routes c and d draw a thinned count of non-zero jumps: a Poisson or NB
     count of mean b |(1-c)^a - 1| and zero-truncated NB(c, -a) or
-    GDS-Sibuya(a, c) jumps, both by inverting CDF tables."""
+    GDS-Sibuya(a, c) jumps, both by inverting CDF tables.  Past the jump
+    table, route d draws the unthinned count of down-weighted Sibuya jumps."""
 
     @pytest.mark.parametrize("a, c", [
         (0.5, 1e-7), (0.3, 0.5), (0.9, 0.95), (1.0, 0.3),
@@ -283,6 +316,8 @@ class TestThinnedCompound:
     ])
     def test_jump_cdf_matches_series_given_nonzero(self, a, c):
         cdf = _jump_cdf(a, c)
+        assert cdf[0] == 0.0  # no zero jumps given X > 0
+        cdf = cdf[1:]
         m = min(len(cdf), 200)
         with mp.workdps(40):
             if a > 0:
@@ -291,12 +326,16 @@ class TestThinnedCompound:
             else:
                 want = _zero_truncated("nb", NegativeBinomialParams(c, -a), 200,
                                        (1 - mp.mpf(c)) ** mp.mpf(-a))
+            tail = _mass_past(a, c, len(cdf)) / abs((1 - mp.mpf(c)) ** mp.mpf(a) - 1)
         np.testing.assert_allclose(cdf[:m], want[:m], rtol=1e-13, atol=0)
         assert cdf[-1] == 1.0
+        assert tail < 1e-17
         if a > 0:
-            # the table ends at the smallest K whose tail bound c^K/(1-c) is below 1e-17
-            k = len(cdf)
-            assert c**k / (1 - c) < 1e-17 <= c ** (k - 1) / (1 - c)
+            # the bound r_j / |h| <= c^(j-1) once sized these tables at the
+            # smallest K with c^K / (1-c) below 1e-17; the Chernoff bound at
+            # s -> 1/c is c^(K+1) / |h|, above it where |h| < c (1-c)
+            old = math.ceil(math.log(1e-17 * (1 - c)) / math.log(c))
+            assert len(cdf) <= old + (abs((1 - c) ** a - 1) < c * (1 - c))
 
     @pytest.mark.parametrize("cdf", [
         _count_cdf(20.0, 0.0), _jump_cdf(0.9, 0.95),
@@ -359,6 +398,18 @@ class TestThinnedCompound:
     def test_closed_form_above_the_crossover_gof(self, p):
         assert p.b * abs((1 - p.c) ** p.a - 1) > sampler.NEG_JUMPS_MAX
         batch = sample_batch("tdl", p, N, seed=70, route="c")
+        report = chi_square_gof(batch, build_pmf_table(p, 400))
+        assert report.p_value > 0.001
+
+    @pytest.mark.parametrize("p", [
+        TdlParams(0.5, 1.0, 0.999999, 1.0),
+        # 9.2e-4 non-zero jumps per draw; drawing only those took about 1087
+        # Sibuya tries each, past max_tries = 100
+        TdlParams(1e-4, 1.0, 0.9999, 0.0),
+    ])
+    def test_route_d_past_the_jump_table_gof(self, p):
+        assert _jump_cdf(p.a, p.c) is None
+        batch = sample_batch("tdl", p, N, seed=73, route="d", max_tries=100)
         report = chi_square_gof(batch, build_pmf_table(p, 400))
         assert report.p_value > 0.001
 
@@ -463,6 +514,15 @@ class TestFamilyTable:
     def test_no_family_table_at_a_subnormal_beta_or_an_infinite_power(self, p):
         assert _family_cdf(*_tdl_family(p)) is None
 
+    @pytest.mark.parametrize("p", [TdlParams(-50.0, 1e300, 1e-300, 0.0),
+                                   TdlParams(-50.0, 1e12, 1e-10, 0.0)])
+    def test_auto_keeps_the_mean_at_a_tiny_c(self, p):
+        # (1-cs)^a and (1-c)^a share all but their last few digits, but b
+        # times their difference is a mean of 50 and of 5000
+        values = sample_batch("tdl", p, N, seed=83).values
+        m = tdl_moments(p)
+        assert abs(values.mean() - m.mu) < 4 * math.sqrt(m.sigma2 / N)
+
     @pytest.mark.parametrize("p", [
         TdlParams(-1.0, 1.0, 0.5, 1.0), TdlParams(-0.5, 3.0, 0.05, 0.0),
         TdlParams(0.5, 1.0, 0.5, 1.0), TdlParams(0.75, 2.0, 0.9, 0.0),
@@ -485,6 +545,32 @@ class TestFamilyTable:
         batch = sample_batch(law, params, N, seed=78)
         report = chi_square_gof(batch, series_pmf(law, params, order))
         assert report.p_value > 0.001
+
+
+class TestGofPower:
+    """A negative control for the GOF checks of the samplers: draws of a
+    perturbed law must fail the chi-square test against the unperturbed
+    table.  Each mutant scales one parameter of a criterion-5 point so
+    that the chi-square noncentrality lambda = n sum (p' - p)^2 / p, from
+    exact tables before any draw, is at least 60, where the test at
+    p <= 0.001 detects a departure with near certainty (Cochran 1952,
+    *Ann. Math. Statist.* 23(3))."""
+
+    @pytest.mark.parametrize("p, name, factor", [
+        (TdlParams(-1.0, 1.0, 0.5, 1.0), "a", 1.03),
+        (TdlParams(-1.0, 2.0, 0.3, 1.0), "b", 1.05),
+        (TdlParams(0.5, 1.0, 0.5, 1.0), "c", 1.05),
+        (TdlParams(0.25, 2.0, 0.5, 4.0), "d", 1.2),
+    ])
+    def test_auto_draws_of_a_perturbed_law_are_rejected(self, p, name, factor):
+        n = 100000
+        mutant = dataclasses.replace(p, **{name: getattr(p, name) * factor})
+        table = build_pmf_table(p, 200)
+        t, u = table.p, build_pmf_table(mutant, 200).p
+        keep = t > 0
+        assert n * np.sum((u[keep] - t[keep]) ** 2 / t[keep]) >= 60.0
+        batch = sample_batch("tdl", mutant, n, seed=82)
+        assert chi_square_gof(batch, table).p_value <= 0.001
 
 
 class TestPositiveStable:
