@@ -15,11 +15,14 @@ dl(gamma, lam, delta) = tdl(gamma, lam, 1, 1/delta).
 Generation routes follow the mixture/compound identities of the family:
 
 * positive stable: Kanter's ratio-of-sines representation driven by one
-  uniform and one exponential variate, scaled by lam^(1/gamma),
+  uniform and one exponential variate (Kanter 1975, *Ann. Probab.* 3(4)),
+  its sines taken from half-angle tangents, sin x = 2t/(1+t^2) with
+  t = tan(x/2), and the scale brought in as log lam: one exp per draw,
 * tempered positive stable: for gamma < 0 the compound Poisson-of-Gammas
   Gamma(1/theta, -gamma * Poisson(lam theta^gamma)) (an atom at zero with
-  mass exp(-lam theta^gamma)); for gamma in (0, 1] exponential rejection
-  of stable proposals with acceptance probability exp(-theta * X),
+  mass exp(-lam theta^gamma)), whose counts at one intensity invert the
+  Poisson count table; for gamma in (0, 1] exponential rejection of
+  stable proposals with acceptance probability exp(-theta * X),
 * tempered discrete Linnik, with the tempered discrete stable law as its
   d = 0 member (one sampler serves both tags), on four routes and a
   default, where B = b at d = 0 and B ~ Gamma(b d, 1/d) (scale, shape)
@@ -33,7 +36,8 @@ Generation routes follow the mixture/compound identities of the family:
                         ``NEG_JUMPS_MAX`` jumps per draw, or where the jump
                         table would pass ``GDS_TABLE_MAX``, the closed form
                         NB(c, -a N), N ~ Poisson(b (1-c)^a) or NB with
-                        q = b d (1-c)^a
+                        q = b d (1-c)^a, while N's mean is under the
+                        generator cap
     d     (a in (0,1])  a sum of Poisson(b |h|) or NB(q/(1+q), 1/d) with
                         q = b d |h| jumps GDS-Sibuya(a, c) given > 0; past
                         the jump table, or at c = 1, a sum of Poisson(b) or
@@ -67,16 +71,21 @@ The rejection knows its expected tries per draw before it starts and
 raises :class:`RejectionBudgetExceeded` up front when that exceeds
 ``max_tries``, which bounds nothing else.
 
-The poisson and nb laws invert the count tables of routes c and d.  Past
-``GDS_TABLE_MAX`` entries, and in route a and the tempered laws, Poisson,
-Gamma and negative binomial primitives are delegated to numpy's Generator;
+The poisson and nb laws invert the count tables of routes c and d, and
+so do the counts of the Poisson-Gamma compound where its intensity is one
+number (tps, and routes a and b at a < 0 and d = 0).  Past
+``GDS_TABLE_MAX`` entries, and for per-draw intensities, Poisson, Gamma
+and negative binomial primitives are delegated to numpy's Generator;
 their correctness is enforced by the goodness-of-fit suite rather than by
 pinning a particular classical algorithm; an intensity past their cap
 raises :class:`HeavyTailOverflow` first, and so does a Gamma law's draw
 past double precision.  The Sibuya
 law is drawn exactly in O(1) per variate through its beta-mixed geometric
 representation: P(X > k | W) = W^k with W ~ Beta(1-gamma, gamma), so
-X = ceil(log(U) / log(W)).  (Sequential inversion of the pmf recurrence
+X = ceil(log(U) / log(W)).  Its first step X = 1 has mass gamma, and
+from gamma = ``_ZERO_SPLIT_MIN`` on one uniform splits it off; the rest is
+1 + ceil(log(U) / log(W)) with W size-biased to Beta(2-gamma, gamma).
+(Sequential inversion of the pmf recurrence
 p_{k+1} = p_k (k-gamma)/(k+1), used for tabulation, has infinite expected
 cost per draw because the law has no mean.)  Draws beyond the 1e9 support
 cap raise :class:`HeavyTailOverflow`.  Past its table, and at tau = 1,
@@ -142,8 +151,9 @@ _PGF_BLOCK = 1 << 12
 _ENTRY_JUMPS = 7.0
 _CLOSED_FORM_JUMPS = 9.0
 
-#: table draws split off the zeros (u < P(0)) before the search from this
-#: P(0) on; below it searching every u is cheaper (same draws either way)
+#: draws split off a point mass before drawing the rest from this mass on:
+#: the zeros of a table (u < P(0); same draws either way) and Sibuya's
+#: first step X = 1; below it the split costs more than it saves
 _ZERO_SPLIT_MIN = 0.4
 
 #: log of the mass an inversion table may leave out
@@ -230,14 +240,29 @@ def _nb_vec(gen: np.random.Generator, pi, delta, n: int | None = None) -> np.nda
 
 
 def _sibuya_float(gen: np.random.Generator, gamma: float, n: int) -> np.ndarray:
-    """Sibuya(gamma) draws as floats, with no support cap."""
+    """Sibuya(gamma) draws as floats, with no support cap.
+
+    Given W ~ Beta(1-gamma, gamma), X is geometric: P(X > k | W) = W^k, so
+    X = ceil(log U / log W).  Its first step has mass P(X = 1) = E[1 - W] =
+    gamma; from gamma = ``_ZERO_SPLIT_MIN`` on, that point mass is split
+    off by one uniform, and X > 1 is 1 + ceil(log U / log W) with W
+    size-biased, W ~ Beta(2-gamma, gamma).
+    """
     if gamma == 1.0:
         return np.ones(n)
-    w = gen.beta(1.0 - gamma, gamma, size=n)
-    u = 1.0 - gen.random(n)  # in (0, 1]
+    shift = 1.0 if gamma >= _ZERO_SPLIT_MIN else 0.0
+    more = np.flatnonzero(gen.random(n) >= gamma) if shift else None
+    m = n if more is None else more.size
+    w = gen.beta(1.0 - gamma + shift, gamma, size=m)
+    u = 1.0 - gen.random(m)  # in (0, 1]
     # clip away the measure-zero fp endpoints of W before taking logs
     w = np.clip(w, 5e-324, np.nextafter(1.0, 0.0))
-    return np.maximum(np.ceil(np.log(u) / np.log(w)), 1.0)
+    y = np.maximum(np.ceil(np.log(u) / np.log(w)), 1.0) + shift
+    if more is None:
+        return y
+    x = np.ones(n)
+    x[more] = y
+    return x
 
 
 def _capped(x: np.ndarray) -> np.ndarray:
@@ -297,27 +322,32 @@ def _table_search(cdf: np.ndarray):
     return search
 
 
-def _inverse_draws(gen: np.random.Generator, cdf: np.ndarray,
-                   n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and values of the non-zero draws among n inversions of a CDF
-    table over k = 0, 1, ...: one uniform each, and only the u >= P(0) are
-    searched."""
+def _split_draws(gen: np.random.Generator, cdf: np.ndarray, n: int) -> tuple:
+    """n inversions of the CDF table over k = 0, 1, ..., one uniform each,
+    as (index, values) for :func:`_scattered`: where P(0) is at least
+    ``_ZERO_SPLIT_MIN``, only the u >= P(0) are searched and index holds
+    their positions; below it every u is searched (index ``slice(None)``),
+    which gives the same draws."""
     u = gen.random(n)
+    if cdf[0] < _ZERO_SPLIT_MIN:
+        return slice(None), _table_search(cdf)(u)
     nz = np.flatnonzero(u >= cdf[0])
     u = u[nz]  # the batch-sized uniforms are freed before the search
     return nz, _table_search(cdf)(u)
 
 
-def _table_draws(gen: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
-    """n draws of the CDF table over k = 0, 1, ...: :func:`_inverse_draws`
-    where P(0) is at least ``_ZERO_SPLIT_MIN``; below it the split costs
-    more than it saves, and searching every u gives the same draws."""
-    if cdf[0] < _ZERO_SPLIT_MIN:
-        return _table_search(cdf)(gen.random(n))
-    nz, values = _inverse_draws(gen, cdf, n)
-    out = np.zeros(n, dtype=np.int64)
-    out[nz] = values
+def _scattered(n: int, index, values: np.ndarray) -> np.ndarray:
+    """The n draws that are ``values`` at ``index`` and 0 elsewhere."""
+    if isinstance(index, slice):
+        return values
+    out = np.zeros(n, dtype=values.dtype)
+    out[index] = values
     return out
+
+
+def _table_draws(gen: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
+    """n draws of the CDF table over k = 0, 1, ..."""
+    return _scattered(n, *_split_draws(gen, cdf, n))
 
 
 def _log1m_cs(log_c: float, f: np.ndarray) -> np.ndarray:
@@ -426,24 +456,20 @@ def _count_cdf(mean: float, d: float) -> np.ndarray | None:
     return cdf
 
 
-def _nonzero_counts(gen: np.random.Generator, log_mean: float, d: float,
-                    n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and values of the non-zero draws among n counts of mean
-    exp(log_mean), Poisson at d = 0 and NB(q/(1+q), 1/d) with q = d mean
-    at d > 0: :func:`_count_cdf` inverted where it has a table, numpy's
-    generators behind the cap otherwise."""
+def _count_draws(gen: np.random.Generator, log_mean: float, d: float, n: int) -> tuple:
+    """n counts of mean exp(log_mean), Poisson at d = 0 and NB(q/(1+q), 1/d)
+    with q = d mean at d > 0, as (index, values) for :func:`_scattered`:
+    :func:`_split_draws` of :func:`_count_cdf` where it has a table, else
+    numpy's generators behind the cap, every count at index ``slice(None)``."""
     with np.errstate(over="ignore"):
         mean = float(np.exp(log_mean))
     cdf = _count_cdf(mean, d)
-    if cdf is None:
-        if d == 0:
-            counts = _poisson_mix(gen, mean, n)
-        else:
-            q = d * mean
-            counts = _nb_vec(gen, q / (1.0 + q), 1.0 / d, n)
-        nz = np.flatnonzero(counts)
-        return nz, counts[nz]
-    return _inverse_draws(gen, cdf, n)
+    if cdf is not None:
+        return _split_draws(gen, cdf, n)
+    if d == 0:
+        return slice(None), _poisson_mix(gen, mean, n)
+    q = d * mean
+    return slice(None), _nb_vec(gen, q / (1.0 + q), 1.0 / d, n)
 
 
 def _compound(gen: np.random.Generator, counts: np.ndarray, draw) -> np.ndarray:
@@ -548,104 +574,122 @@ def _family_cdf(a: float, c: float, beta: float, power,
 # positive stable and its tempering
 
 
-def _kanter_vec(gen: np.random.Generator, gamma: float, lam, n: int) -> np.ndarray:
-    """PS(gamma, lam) draws via Kanter's representation, gamma in (0, 1).
-
-    X = lam^(1/gamma) * (A(U)/E)^((1-gamma)/gamma) with
-    A(u) = [sin(gamma pi u)^gamma sin((1-gamma) pi u)^(1-gamma)
-            / sin(pi u)]^(1/(1-gamma)),
-    evaluated in log space; u is kept inside (0, pi] so the sines never
-    vanish exactly.  lam may be an array for mixture draws.  A draw beyond
-    double precision comes back as inf, or as nan (0 * inf) where
-    lam^(1/gamma) underflows; the callers decide what that means.
-    """
-    u = (1.0 - gen.random(n)) * np.pi
-    e = gen.standard_exponential(n)
-    bracket = (
-        gamma * np.log(np.sin(gamma * u))
-        + (1.0 - gamma) * np.log(np.sin((1.0 - gamma) * u))
-        - np.log(np.sin(u))
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = np.exp(bracket / gamma - (1.0 - gamma) / gamma * np.log(e))
-        return np.asarray(lam) ** (1.0 / gamma) * x
-
-
-def _overflowed(gamma: float) -> HeavyTailOverflow:
-    return HeavyTailOverflow(
-        f"positive stable draw overflowed double precision (gamma = {gamma:g})"
-    )
-
-
-def _ps_vec(gen: np.random.Generator, gamma: float, lam, n: int) -> np.ndarray:
-    """PS(gamma, lam) draws; a draw beyond double precision raises
-    :class:`HeavyTailOverflow`."""
-    if gamma == 1.0:
-        # Laplace transform exp(-lam t): point mass at lam
-        return np.broadcast_to(np.asarray(lam, dtype=float), (n,)).copy()
-    x = _kanter_vec(gen, gamma, lam, n)
-    if not np.isfinite(x).all():
-        raise _overflowed(gamma)
+def _half_sine(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """sin(2x)/2 = t/(1 + t^2) with t = tan x, for x in [0, pi/2), in place
+    over x (tmp is scratch): numpy's tan costs a fraction of its sin, and
+    no reciprocal of a tiny t is formed."""
+    np.tan(x, out=x)
+    np.multiply(x, x, out=tmp)
+    tmp += 1.0
+    x /= tmp
     return x
 
 
-def _poisson_gamma(gen: np.random.Generator, gamma: float, log_t: np.ndarray,
-                   theta: float) -> np.ndarray:
+def _kanter_vec(gen: np.random.Generator, gamma: float, log_lam, n: int) -> np.ndarray:
+    """PS(gamma, lam) draws via Kanter's representation, gamma in (0, 1),
+    with log_lam = log lam a number or an array (mixture draws).
+
+    X = lam^(1/gamma) (A(U)/E)^((1-gamma)/gamma) with
+    A(u) = [sin(gamma pi u)^gamma sin((1-gamma) pi u)^(1-gamma)
+            / sin(pi u)]^(1/(1-gamma)).
+    With h = pi u / 2 in (0, pi/2] and the half-angle tangent form
+    r(x) = sin(2x)/2 = tan x / (1 + tan^2 x) (:func:`_half_sine`),
+    log X = log(r(gamma h) / r(h))
+            + [(1-gamma) log(r((1-gamma) h) / (E r(h))) + log lam] / gamma,
+    the factors 2 cancelling, and X is one exp of it: the scale enters as
+    its log, so no power of it can underflow.  A draw beyond double
+    precision comes back as inf; the callers decide what that means.
+    """
+    h = gen.random(n)
+    np.subtract(1.0, h, out=h)
+    h *= 0.5 * math.pi  # the double pi/2 is below pi/2: tan h is finite and positive
+    e = gen.standard_exponential(n)
+    tmp = np.empty(n)
+    x = _half_sine(np.multiply(h, gamma), tmp)
+    e /= _half_sine(np.multiply(h, 1.0 - gamma), tmp)
+    r = _half_sine(h, tmp)
+    x /= r
+    np.log(x, out=x)
+    e *= r
+    np.log(e, out=e)
+    e *= gamma - 1.0
+    e += log_lam
+    with np.errstate(over="ignore"):
+        e /= gamma
+        x += e
+        return np.exp(x, out=x)
+
+
+def _poisson_gamma(gen: np.random.Generator, gamma: float, log_t, theta: float,
+                   n: int) -> np.ndarray:
     """Gamma(-gamma N, 1/theta) draws (shape, scale) with N ~ Poisson(exp(log_t)),
     for gamma < 0: the tempered positive stable law as a compound Poisson
-    of Gammas.  log_t is overwritten; an intensity past the Poisson cap
-    raises, and log_t = -inf gives 0."""
-    with np.errstate(over="ignore"):
-        counts = _poisson_mix(gen, np.exp(log_t, out=log_t))
-    return gen.gamma(shape=-gamma * counts, scale=1.0 / theta)
+    of Gammas.  One intensity (log_t a number) draws its counts from the
+    count table (:func:`_count_draws`), and only the non-zero ones take
+    a Gamma draw; an array log_t draws them from numpy, and is overwritten.
+    An intensity past the Poisson cap raises, and log_t = -inf gives 0."""
+    if np.ndim(log_t) == 0:
+        index, counts = _count_draws(gen, float(log_t), 0.0, n)
+    else:
+        with np.errstate(over="ignore"):
+            index, counts = slice(None), _poisson_mix(gen, np.exp(log_t, out=log_t))
+    return _scattered(n, index, gen.gamma(shape=-gamma * counts, scale=1.0 / theta))
 
 
 def _tps_vec(
     gen: np.random.Generator,
     gamma: float,
-    lam,
+    log_lam,
     theta: float,
     n: int,
     max_tries: int = DEFAULT_MAX_TRIES,
 ) -> np.ndarray:
-    """Tempered positive stable draws; lam may be an array (mixture scale)."""
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
+    """TPS(gamma, lam, theta) draws, theta = 0 for the positive stable law,
+    with log_lam = log lam a number or an array (mixture scales; a zero
+    scale, log_lam = -inf, draws 0).  An untempered draw beyond double
+    precision raises :class:`HeavyTailOverflow`."""
     if gamma == 0.0:
         return np.zeros(n)
+    if gamma == 1.0:
+        # Laplace transform exp(-lam t), whatever theta: point mass at lam
+        return np.exp(np.broadcast_to(log_lam, (n,)))
     if gamma < 0.0:
         # the intensity lam theta^gamma as a sum of logs: a zero scale gives
         # log 0 = -inf and so a zero draw, whatever theta^gamma is
-        with np.errstate(divide="ignore"):
-            log_t = np.log(lam)
-        log_t += gamma * math.log(theta)
-        return _poisson_gamma(gen, gamma, log_t, theta)
-    if theta == 0.0 or gamma == 1.0:
-        return _ps_vec(gen, gamma, lam, n)
-    out = np.empty(n)
-    active = np.flatnonzero(lam > 0)
-    out[lam == 0] = 0.0
+        return _poisson_gamma(gen, gamma, log_lam + gamma * math.log(theta), theta, n)
+    if theta == 0.0:
+        x = _kanter_vec(gen, gamma, log_lam, n)
+        if not np.isfinite(x).all():
+            raise HeavyTailOverflow(
+                f"positive stable draw overflowed double precision (gamma = {gamma:g})"
+            )
+        return x
     # the draw with the largest lam expects exp(lam theta^gamma) tries
-    log_tries = float(lam.max(initial=0.0)) * theta**gamma
+    with np.errstate(over="ignore"):
+        log_tries = float(np.exp(np.max(log_lam, initial=-np.inf) + gamma * math.log(theta)))
     if log_tries > math.log(max_tries):
         raise RejectionBudgetExceeded(
             f"tempering rejection expects exp({log_tries:.4g}) tries for its worst draw, "
             f"above max_tries = {max_tries} (acceptance rate exp(-lam theta^gamma) too small)"
         )
+    one_scale = np.ndim(log_lam) == 0
+    out = np.zeros(n)
+    active = np.arange(n) if one_scale else np.flatnonzero(log_lam > -np.inf)
     tries = 0
-    while active.size:
-        tries += 1
-        if tries > max_tries:
-            raise RejectionBudgetExceeded(
-                f"tempering rejection exceeded {max_tries} tries per draw "
-                f"(acceptance rate exp(-lam theta^gamma) too small)"
-            )
-        x = _kanter_vec(gen, gamma, lam[active], active.size)
-        if np.isnan(x).any():
-            raise _overflowed(gamma)
-        # an inf proposal is accepted with probability exp(-theta inf) = 0
-        accept = (gen.random(active.size) <= np.exp(-theta * x)) & (x < np.inf)
-        out[active[accept]] = x[accept]
-        active = active[~accept]
+    # a proposal with theta x past double precision, inf included, is
+    # accepted with probability exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        while active.size:
+            tries += 1
+            if tries > max_tries:
+                raise RejectionBudgetExceeded(
+                    f"tempering rejection exceeded {max_tries} tries per draw "
+                    f"(acceptance rate exp(-lam theta^gamma) too small)"
+                )
+            x = _kanter_vec(gen, gamma, log_lam if one_scale else log_lam[active], active.size)
+            accept = gen.random(active.size) < np.exp(-theta * x)
+            out[active[accept]] = x[accept]
+            active = active[~accept]
     return out
 
 
@@ -673,30 +717,34 @@ def _compound_jumps(gen: np.random.Generator, p: TdlParams | TdsParams, n: int) 
     inverted table draw them.  Past it, a > 0 draws the unthinned count,
     of mean b, of :func:`_gds_draws`.  For a < 0, past it or above
     ``NEG_JUMPS_MAX`` non-zero jumps per draw, the closed form NB(c, -a N)
-    of the unthinned count N is cheaper.
+    of the unthinned count N is cheaper; it is taken only where the mean
+    b (1-c)^a of N is under the generator cap, which the thinned count's
+    mean b |h| can be far below (a small c).
     """
     log_b = math.log(p.b)
     log_jumps = log_b + _log_jump_mass(p.a, p.c)
     if log_jumps == -math.inf:
         return np.zeros(n, dtype=np.int64)
-    cdf = None
-    if p.a > 0 or log_jumps <= math.log(NEG_JUMPS_MAX):
-        cdf = _jump_cdf(p.a, p.c)
+    # log of N's mean for a < 0 (c < 1 there); no closed form for a > 0
+    log_count = log_b + p.a * math.log1p(-p.c) if p.a < 0 else math.inf
+    closed = log_jumps > math.log(NEG_JUMPS_MAX) and log_count <= math.log(_POISSON_LAM_CAP)
+    cdf = None if closed else _jump_cdf(p.a, p.c)
     if cdf is not None:
         search = _table_search(cdf)
-        nz, counts = _nonzero_counts(gen, log_jumps, p.d, n)
+        index, counts = _count_draws(gen, log_jumps, p.d, n)
         values = _compound(gen, counts, lambda gen, m: search(gen.random(m)))
     elif p.a > 0:
-        nz, counts = _nonzero_counts(gen, log_b, p.d, n)
+        index, counts = _count_draws(gen, log_b, p.d, n)
         values = _compound(gen, counts, lambda gen, m: _gds_draws(gen, p.a, p.c, m))
     else:
-        nz, counts = _nonzero_counts(gen, log_b + p.a * math.log1p(-p.c), p.d, n)
-        shapes = -p.a * counts
-        del counts  # freed before the NB draw, like the uniforms of the counts
+        index, counts = _count_draws(gen, log_count, p.d, n)
+        # NB(c, -a N) is 0 at N = 0, a shape numpy refuses
+        nz = np.flatnonzero(counts)
+        index = nz if isinstance(index, slice) else index[nz]
+        shapes = -p.a * counts[nz]
+        del counts, nz  # freed before the NB draw, like the uniforms of the counts
         values = _nb_vec(gen, p.c, shapes)
-    out = np.zeros(n, dtype=np.int64)
-    out[nz] = values
-    return out
+    return _scattered(n, index, values)
 
 
 def _tdl_family(p: TdlParams | TdsParams) -> tuple:
@@ -752,7 +800,7 @@ def _sample_tdl(
     # the tempering intensity B c^a theta^a = B (1-c)^a, may pass double
     # precision in a factor although the product does not
     if p.d == 0:
-        log_lam = np.full(n, math.log(p.b))
+        log_lam = math.log(p.b)
     else:
         log_lam = gen.gamma(shape=1.0 / p.d, size=n)
         with np.errstate(divide="ignore"):
@@ -761,19 +809,15 @@ def _sample_tdl(
     theta = 1.0 / p.c - 1.0
     if p.a < 0:
         log_lam += p.a * math.log1p(-p.c)
-        return _poisson_mix(gen, _poisson_gamma(gen, p.a, log_lam, theta))
+        return _poisson_mix(gen, _poisson_gamma(gen, p.a, log_lam, theta, n))
     if theta == math.inf:
         # a subnormal c, where 1/c overflows: TPS(a, lam, theta) is
         # TPS(a, lam theta^a, 1) / theta, with lam theta^a = B (1-c)^a
         log_lam += p.a * math.log1p(-p.c)
-        with np.errstate(over="ignore"):
-            lam = np.exp(log_lam, out=log_lam)
-        x = _tps_vec(gen, p.a, lam, 1.0, n, max_tries)
+        x = _tps_vec(gen, p.a, log_lam, 1.0, n, max_tries)
         return _poisson_mix(gen, x * (p.c / (1.0 - p.c)))
     log_lam += p.a * math.log(p.c)
-    with np.errstate(over="ignore"):
-        lam = np.exp(log_lam, out=log_lam)
-    return _poisson_mix(gen, _tps_vec(gen, p.a, lam, theta, n, max_tries))
+    return _poisson_mix(gen, _tps_vec(gen, p.a, log_lam, theta, n, max_tries))
 
 
 # ---------------------------------------------------------------------------
@@ -785,20 +829,31 @@ def _linnik_scales(gen: np.random.Generator, p, n: int) -> np.ndarray:
     return gen.gamma(shape=p.delta, scale=p.lam / p.delta, size=n)
 
 
+def _scaled_tps(gen: np.random.Generator, gamma: float, lam, theta: float, n: int,
+                max_tries: int) -> np.ndarray:
+    """TPS(gamma, lam, theta) draws of a scale lam given as a number or an
+    array: lam itself at gamma = 1, the point mass, else :func:`_tps_vec`
+    of log lam."""
+    if gamma == 1.0:
+        return np.broadcast_to(np.asarray(lam, dtype=float), (n,)).copy()
+    with np.errstate(divide="ignore"):
+        return _tps_vec(gen, gamma, np.log(lam), theta, n, max_tries)
+
+
 def _sample_ps(gen, p: StableParams, n, route, max_tries):
-    return _ps_vec(gen, p.gamma, p.lam, n)
+    return _scaled_tps(gen, p.gamma, p.lam, 0.0, n, max_tries)
 
 
 def _sample_tps(gen, p: TemperedStableParams, n, route, max_tries):
-    return _tps_vec(gen, p.gamma, p.lam, p.theta, n, max_tries)
+    return _scaled_tps(gen, p.gamma, p.lam, p.theta, n, max_tries)
 
 
 def _sample_pl(gen, p: LinnikParams, n, route, max_tries):
-    return _ps_vec(gen, p.gamma, _linnik_scales(gen, p, n), n)
+    return _scaled_tps(gen, p.gamma, _linnik_scales(gen, p, n), 0.0, n, max_tries)
 
 
 def _sample_tpl(gen, p: TemperedLinnikParams, n, route, max_tries):
-    return _tps_vec(gen, p.gamma, _linnik_scales(gen, p, n), p.theta, n, max_tries)
+    return _scaled_tps(gen, p.gamma, _linnik_scales(gen, p, n), p.theta, n, max_tries)
 
 
 def _sample_nb(gen, p: NegativeBinomialParams, n, route, max_tries):

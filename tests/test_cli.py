@@ -206,17 +206,21 @@ class TestSampleCommand:
         assert len(res.output.split()) == 1000
         assert runner.invoke(main, [*args, "--route", "a"]).exit_code == 4
 
-    @pytest.mark.parametrize("a, b, d", [
-        ("0.001", "0.0062", "0.00034"), ("0.001", "0.00034", "0"),
+    @pytest.mark.parametrize("a, b, d, message", [
+        pytest.param("0.001", "0.0062", "0.00034",
+                     "positive stable draw overflowed double precision (gamma = 0.001)",
+                     id="0.001-0.0062-0.00034"),
+        # no stable draw overflows, but one passes the Poisson intensity cap
+        pytest.param("0.001", "0.00034", "0",
+                     "Poisson intensity exceeded the generator cap 9e+18",
+                     id="0.001-0.00034-0"),
     ])
-    def test_overflowing_stable_draw_exits_4_with_one_error_line(self, a, b, d):
+    def test_overflowing_stable_draw_exits_4_with_one_error_line(self, a, b, d, message):
         out = run_python("-m", "tdlinnik", "sample", "--law", "tdl", "-a", a, "-b", b,
                          "-c", "1", "-d", d, "-n", "1000", "--seed", "1", check=False)
         assert out.returncode == 4
         assert out.stdout == ""
-        assert out.stderr == (
-            "error: positive stable draw overflowed double precision (gamma = 0.001)\n"
-        )
+        assert out.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize("args, message", [
         (("--law", "tds", "-a", "-2", "-b", "1e5", "-c", "0.9999999"),

@@ -62,6 +62,21 @@ def assert_laplace_match(batch, law, params, ts=(0.25, 0.5, 1.0, 2.0)):
         assert abs(est - want) < 4 * max(se, 1e-12), (law, t, est, want, se)
 
 
+class _Fed:
+    """A generator that hands out given uniforms and exponentials."""
+
+    def __init__(self, u, e):
+        self._u, self._e = u, e
+
+    def random(self, n):
+        assert n == len(self._u)
+        return self._u.copy()
+
+    def standard_exponential(self, n):
+        assert n == len(self._e)
+        return self._e.copy()
+
+
 class TestRngStream:
     def test_same_seed_same_sequence(self):
         a = RngStream(123).generator.random(10)
@@ -134,13 +149,21 @@ class TestSibuya:
         assert np.all(batch.values == 1)
 
     def test_head_probabilities(self):
-        # fixed seed dodging the (expected ~once per 50k draws at gamma=0.5)
-        # excursion past the support cap
-        batch = sample_batch("sibuya", SibuyaParams(0.5), N, seed=22)
-        p1 = (batch.values == 1).mean()
-        p2 = (batch.values == 2).mean()
+        # uncapped draws: about one in 50k passes the support cap at gamma = 0.5
+        x = sampler._sibuya_float(RngStream(22).generator, 0.5, N)
+        p1 = (x == 1).mean()
+        p2 = (x == 2).mean()
         assert abs(p1 - 0.5) < 4 * math.sqrt(0.25 / N)
         assert abs(p2 - 0.125) < 4 * math.sqrt(0.125 * 0.875 / N)
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.6, 0.95])
+    def test_gof_across_the_first_step_split(self, gamma):
+        # below and above _ZERO_SPLIT_MIN = 0.4, where X = 1 is split off
+        params = SibuyaParams(gamma)
+        x = sampler._sibuya_float(RngStream(24).generator, gamma, N)
+        batch = sampler.SampleBatch("sibuya", params, N, x, seed=24)
+        report = chi_square_gof(batch, series_pmf("sibuya", params, 120))
+        assert report.p_value > 0.001
 
     def test_gof_on_truncated_support(self):
         batch = sample_batch("sibuya", SibuyaParams(0.6), N, seed=22)
@@ -597,6 +620,38 @@ class TestPositiveStable:
             se = math.hypot(e1.std(ddof=1), e2.std(ddof=1)) / math.sqrt(N)
             assert gap < 4 * se
 
+    @pytest.mark.parametrize("gamma", [1e-300, 0.01, 0.1, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("log_lam", [0.0, -2.5])
+    def test_kanter_matches_the_40_digit_formula(self, gamma, log_lam):
+        # the same (U, E), U at both ends of [0, 1) included, through
+        # X = lam^(1/g) [sin(g u)^g sin((1-g) u)^(1-g) / sin u]^(1/g) E^(-(1-g)/g),
+        # u = pi (1 - U), at 40 digits.  Both sides take u from the double
+        # h = u/2 = (1 - U) pi/2: near U = 0 sin u is as small as the
+        # rounding of u, so the bound is on the formula, not on that rounding.
+        # At gamma = 1e-300 every draw is 0 or inf, and g h is subnormal at
+        # the smallest h: no warning either way
+        twin = RngStream(44).generator
+        u = np.concatenate(([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53], twin.random(196)))
+        e = twin.standard_exponential(len(u))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = sampler._kanter_vec(_Fed(u, e), gamma, log_lam, len(u))
+        h = (1.0 - u) * (0.5 * math.pi)
+        with mp.workdps(40):
+            g = mp.mpf(gamma)
+            for hi, ei, xi in zip(h, e, x):
+                v = 2 * mp.mpf(float(hi))
+                log_x = (g * mp.log(mp.sin(g * v)) + (1 - g) * mp.log(mp.sin((1 - g) * v))
+                         - mp.log(mp.sin(v)) - (1 - g) * mp.log(mp.mpf(float(ei)))
+                         + mp.mpf(log_lam)) / g
+                if log_x > mp.log(sys.float_info.max):
+                    assert xi == math.inf, (hi, ei)
+                elif log_x < mp.log(sys.float_info.min):
+                    assert xi < 2 * sys.float_info.min, (hi, ei)
+                else:
+                    want = mp.exp(log_x)
+                    assert abs(xi - want) <= 1e-12 * want, (hi, ei, xi, want)
+
 
 class TestTemperedPositiveStable:
     def test_zero_atom_for_negative_gamma(self):
@@ -613,6 +668,18 @@ class TestTemperedPositiveStable:
         params = TemperedStableParams(gamma, lam, theta)
         batch = sample_batch("tps", params, N, seed=52)
         assert_laplace_match(batch, "tps", params)
+
+    @pytest.mark.parametrize("params, ts", [
+        # intensity lam theta^gamma = 0.5: P(N = 0) = 0.61, split off the table
+        (TemperedStableParams(-0.7, 0.5, 1.0), (0.25, 0.5, 1.0, 2.0)),
+        # intensity 1e6: past the count table, so numpy draws the counts
+        (TemperedStableParams(-0.7, 1e6, 1.0), (2.5e-7, 5e-7, 1e-6, 2e-6)),
+    ])
+    def test_negative_gamma_counts_inside_and_past_the_count_table(self, params, ts):
+        intensity = params.lam * params.theta**params.gamma
+        assert (_count_cdf(intensity, 0.0) is None) == (intensity > 1e5)
+        batch = sample_batch("tps", params, N, seed=54)
+        assert_laplace_match(batch, "tps", params, ts)
 
     def test_theta_zero_is_plain_stable(self):
         tps = TemperedStableParams(0.5, 1.0, 0.0)
@@ -635,15 +702,21 @@ class TestTemperedPositiveStable:
 
 
 class TestTdlRoutes:
-    @pytest.mark.parametrize("params", [
-        TdlParams(0.001, 0.0062, 1.0, 0.00034), TdlParams(0.001, 0.00034, 1.0, 0.0),
+    @pytest.mark.parametrize("params, message", [
+        pytest.param(TdlParams(0.001, 0.0062, 1.0, 0.00034), "overflowed double precision",
+                     id="params0"),
+        # here no stable draw of the seeded batch overflows, but one passes
+        # the cap of the Poisson intensity it becomes
+        pytest.param(TdlParams(0.001, 0.00034, 1.0, 0.0), "Poisson intensity exceeded",
+                     id="params1"),
     ])
-    def test_overflowing_stable_draw_is_a_typed_error(self, params):
-        # lam^(1/a) underflows and the Kanter factor overflows: 0 * inf;
-        # the error comes without a RuntimeWarning
+    def test_overflowing_stable_draw_is_a_typed_error(self, params, message):
+        # lam^(1/a) underflows and the Kanter factor overflows, but the scale
+        # enters in logs, so no 0 * inf arises; the error comes without a
+        # RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(HeavyTailOverflow, match="overflowed double precision"):
+            with pytest.raises(HeavyTailOverflow, match=message):
                 sample_batch("tdl", params, 1000, seed=1)
 
     def test_small_gamma_tempering_rejects_overflowing_proposals(self):
@@ -799,6 +872,20 @@ class TestGeneratorCaps:
             values = sample_batch(law, params, 1000, seed=1, route=route).values
         # the mean is b |a| c (1-c)^(a-1) = 5e-6 per draw
         assert values.dtype == np.int64 and values.min() >= 0 and values.sum() <= 3
+
+    def test_route_c_thins_where_the_closed_forms_count_passes_the_cap(self):
+        # N ~ Poisson(b (1-c)^a) has mean 1e300, past the cap, but the law's
+        # mean is 50: about 50 non-zero jumps per draw.  Route auto at n = 10
+        # takes route c too, its family table costing more than the draws
+        p = TdlParams(-50.0, 1e300, 1e-300, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in ("c", "auto"):
+                assert sample_batch("tdl", p, 10, seed=1, route=route).values.min() >= 0
+            n = 10**4
+            values = sample_batch("tdl", p, n, seed=1, route="c").values
+        m = tdl_moments(p)
+        assert abs(values.mean() - m.mu) < 4 * math.sqrt(m.sigma2 / n)
 
     def test_route_a_at_a_subnormal_c_draws(self):
         # theta = 1/c - 1 overflows, but the tempering intensity b (1-c)^a
