@@ -37,7 +37,8 @@ Generation routes follow the mixture/compound identities of the family:
                         table would pass ``GDS_TABLE_MAX``, the closed form
                         NB(c, -a N), N ~ Poisson(b (1-c)^a) or NB with
                         q = b d (1-c)^a, while N's mean is under the
-                        generator cap
+                        generator cap (past it, the thinned sum up to
+                        ``JUMP_BLOCK`` jumps per draw)
     d     (a in (0,1])  a sum of Poisson(b |h|) or NB(q/(1+q), 1/d) with
                         q = b d |h| jumps GDS-Sibuya(a, c) given > 0; past
                         the jump table, or at c = 1, a sum of Poisson(b) or
@@ -153,7 +154,9 @@ _CLOSED_FORM_JUMPS = 9.0
 
 #: draws split off a point mass before drawing the rest from this mass on:
 #: the zeros of a table (u < P(0); same draws either way) and Sibuya's
-#: first step X = 1; below it the split costs more than it saves
+#: first step X = 1; below it the split costs more than it saves (Sibuya's
+#: measured crossover is nearer 0.25-0.3, so up to 0.4 it keeps its
+#: unsplit draw, within about 10% of the split one there)
 _ZERO_SPLIT_MIN = 0.4
 
 #: log of the mass an inversion table may leave out
@@ -598,7 +601,9 @@ def _kanter_vec(gen: np.random.Generator, gamma: float, log_lam, n: int) -> np.n
             + [(1-gamma) log(r((1-gamma) h) / (E r(h))) + log lam] / gamma,
     the factors 2 cancelling, and X is one exp of it: the scale enters as
     its log, so no power of it can underflow.  A draw beyond double
-    precision comes back as inf; the callers decide what that means.
+    precision comes back as inf, and one that rounding leaves indeterminate
+    (at a subnormal gamma, gamma h can round to 0) as nan, without a
+    warning; the callers decide what that means.
     """
     h = gen.random(n)
     np.subtract(1.0, h, out=h)
@@ -608,13 +613,13 @@ def _kanter_vec(gen: np.random.Generator, gamma: float, log_lam, n: int) -> np.n
     x = _half_sine(np.multiply(h, gamma), tmp)
     e /= _half_sine(np.multiply(h, 1.0 - gamma), tmp)
     r = _half_sine(h, tmp)
-    x /= r
-    np.log(x, out=x)
-    e *= r
-    np.log(e, out=e)
-    e *= gamma - 1.0
-    e += log_lam
-    with np.errstate(over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x /= r
+        np.log(x, out=x)
+        e *= r
+        np.log(e, out=e)
+        e *= gamma - 1.0
+        e += log_lam
         e /= gamma
         x += e
         return np.exp(x, out=x)
@@ -630,10 +635,16 @@ def _poisson_gamma(gen: np.random.Generator, gamma: float, log_t, theta: float,
     An intensity past the Poisson cap raises, and log_t = -inf gives 0."""
     if np.ndim(log_t) == 0:
         index, counts = _count_draws(gen, float(log_t), 0.0, n)
-    else:
-        with np.errstate(over="ignore"):
-            index, counts = slice(None), _poisson_mix(gen, np.exp(log_t, out=log_t))
-    return _scattered(n, index, gen.gamma(shape=-gamma * counts, scale=1.0 / theta))
+        return _scattered(n, index, gen.gamma(shape=-gamma * counts, scale=1.0 / theta))
+    with np.errstate(over="ignore"):
+        counts = _poisson_mix(gen, np.exp(log_t, out=log_t))
+    return gen.gamma(shape=-gamma * counts, scale=1.0 / theta)
+
+
+def _overflowed(gamma: float) -> HeavyTailOverflow:
+    return HeavyTailOverflow(
+        f"positive stable draw overflowed double precision (gamma = {gamma:g})"
+    )
 
 
 def _tps_vec(
@@ -647,7 +658,8 @@ def _tps_vec(
     """TPS(gamma, lam, theta) draws, theta = 0 for the positive stable law,
     with log_lam = log lam a number or an array (mixture scales; a zero
     scale, log_lam = -inf, draws 0).  An untempered draw beyond double
-    precision raises :class:`HeavyTailOverflow`."""
+    precision, or any indeterminate (nan) proposal, raises
+    :class:`HeavyTailOverflow`."""
     if gamma == 0.0:
         return np.zeros(n)
     if gamma == 1.0:
@@ -660,9 +672,7 @@ def _tps_vec(
     if theta == 0.0:
         x = _kanter_vec(gen, gamma, log_lam, n)
         if not np.isfinite(x).all():
-            raise HeavyTailOverflow(
-                f"positive stable draw overflowed double precision (gamma = {gamma:g})"
-            )
+            raise _overflowed(gamma)
         return x
     # the draw with the largest lam expects exp(lam theta^gamma) tries
     with np.errstate(over="ignore"):
@@ -687,6 +697,8 @@ def _tps_vec(
                     f"(acceptance rate exp(-lam theta^gamma) too small)"
                 )
             x = _kanter_vec(gen, gamma, log_lam if one_scale else log_lam[active], active.size)
+            if np.isnan(x).any():
+                raise _overflowed(gamma)
             accept = gen.random(active.size) < np.exp(-theta * x)
             out[active[accept]] = x[accept]
             active = active[~accept]
@@ -717,17 +729,19 @@ def _compound_jumps(gen: np.random.Generator, p: TdlParams | TdsParams, n: int) 
     inverted table draw them.  Past it, a > 0 draws the unthinned count,
     of mean b, of :func:`_gds_draws`.  For a < 0, past it or above
     ``NEG_JUMPS_MAX`` non-zero jumps per draw, the closed form NB(c, -a N)
-    of the unthinned count N is cheaper; it is taken only where the mean
-    b (1-c)^a of N is under the generator cap, which the thinned count's
-    mean b |h| can be far below (a small c).
+    of the unthinned count N is cheaper.  Where N's mean b (1-c)^a passes
+    the generator cap, the thinned count's mean b |h| can still be small
+    (a small c): up to ``JUMP_BLOCK`` non-zero jumps per draw, the thinned
+    compound is drawn instead, so its work per draw stays bounded whatever
+    b is; beyond that the closed form's count raises
+    :class:`HeavyTailOverflow`.
     """
     log_b = math.log(p.b)
     log_jumps = log_b + _log_jump_mass(p.a, p.c)
     if log_jumps == -math.inf:
         return np.zeros(n, dtype=np.int64)
-    # log of N's mean for a < 0 (c < 1 there); no closed form for a > 0
-    log_count = log_b + p.a * math.log1p(-p.c) if p.a < 0 else math.inf
-    closed = log_jumps > math.log(NEG_JUMPS_MAX) and log_count <= math.log(_POISSON_LAM_CAP)
+    closed = p.a < 0 and log_jumps > math.log(NEG_JUMPS_MAX) and (
+        _closed_form_fits(p) or log_jumps > math.log(JUMP_BLOCK))
     cdf = None if closed else _jump_cdf(p.a, p.c)
     if cdf is not None:
         search = _table_search(cdf)
@@ -737,14 +751,19 @@ def _compound_jumps(gen: np.random.Generator, p: TdlParams | TdsParams, n: int) 
         index, counts = _count_draws(gen, log_b, p.d, n)
         values = _compound(gen, counts, lambda gen, m: _gds_draws(gen, p.a, p.c, m))
     else:
-        index, counts = _count_draws(gen, log_count, p.d, n)
+        counts = _scattered(n, *_count_draws(gen, log_b + p.a * math.log1p(-p.c), p.d, n))
         # NB(c, -a N) is 0 at N = 0, a shape numpy refuses
-        nz = np.flatnonzero(counts)
-        index = nz if isinstance(index, slice) else index[nz]
-        shapes = -p.a * counts[nz]
-        del counts, nz  # freed before the NB draw, like the uniforms of the counts
+        index = np.flatnonzero(counts)
+        shapes = -p.a * counts[index]
+        del counts  # freed before the NB draw, like the uniforms of the counts
         values = _nb_vec(gen, p.c, shapes)
     return _scattered(n, index, values)
+
+
+def _closed_form_fits(p: TdlParams | TdsParams) -> bool:
+    """Whether route c's closed form NB(c, -a N) can be drawn at a < 0:
+    the mean b (1-c)^a of N is under the generator cap."""
+    return math.log(p.b) + p.a * math.log1p(-p.c) <= math.log(_POISSON_LAM_CAP)
 
 
 def _tdl_family(p: TdlParams | TdsParams) -> tuple:
@@ -760,11 +779,11 @@ def _family_table_max(p: TdlParams | TdsParams, n: int) -> float:
     """The longest family table route auto builds for n draws: one whose
     build costs at most what the compound route's draws would.  An entry
     costs about ``_ENTRY_JUMPS`` jump draws, and a compound draw 1 + b|h|,
-    or for a < 0 at most 1 + ``_CLOSED_FORM_JUMPS`` (route c's closed form
-    caps it)."""
+    or for a < 0 at most 1 + ``_CLOSED_FORM_JUMPS`` where route c's closed
+    form can be drawn and caps it."""
     with np.errstate(over="ignore"):
         jumps = float(np.exp(math.log(p.b) + _log_jump_mass(p.a, p.c)))
-    if p.a < 0:
+    if p.a < 0 and _closed_form_fits(p):
         jumps = min(jumps, _CLOSED_FORM_JUMPS)
     return n * (1.0 + jumps) / _ENTRY_JUMPS
 
@@ -824,36 +843,28 @@ def _sample_tdl(
 # the remaining per-law samplers
 
 
-def _linnik_scales(gen: np.random.Generator, p, n: int) -> np.ndarray:
-    """Gamma(delta, lam/delta) mixing scales of the (tempered) Linnik laws."""
-    return gen.gamma(shape=p.delta, scale=p.lam / p.delta, size=n)
-
-
-def _scaled_tps(gen: np.random.Generator, gamma: float, lam, theta: float, n: int,
-                max_tries: int) -> np.ndarray:
-    """TPS(gamma, lam, theta) draws of a scale lam given as a number or an
-    array: lam itself at gamma = 1, the point mass, else :func:`_tps_vec`
-    of log lam."""
-    if gamma == 1.0:
-        return np.broadcast_to(np.asarray(lam, dtype=float), (n,)).copy()
+def _linnik_log_scales(gen: np.random.Generator, p, n: int) -> np.ndarray:
+    """Logs of the Gamma(delta, lam/delta) mixing scales of the (tempered)
+    Linnik laws, -inf where a scale underflows to 0."""
+    x = gen.gamma(shape=p.delta, scale=p.lam / p.delta, size=n)
     with np.errstate(divide="ignore"):
-        return _tps_vec(gen, gamma, np.log(lam), theta, n, max_tries)
+        return np.log(x, out=x)
 
 
 def _sample_ps(gen, p: StableParams, n, route, max_tries):
-    return _scaled_tps(gen, p.gamma, p.lam, 0.0, n, max_tries)
+    return _tps_vec(gen, p.gamma, math.log(p.lam), 0.0, n, max_tries)
 
 
 def _sample_tps(gen, p: TemperedStableParams, n, route, max_tries):
-    return _scaled_tps(gen, p.gamma, p.lam, p.theta, n, max_tries)
+    return _tps_vec(gen, p.gamma, math.log(p.lam), p.theta, n, max_tries)
 
 
 def _sample_pl(gen, p: LinnikParams, n, route, max_tries):
-    return _scaled_tps(gen, p.gamma, _linnik_scales(gen, p, n), 0.0, n, max_tries)
+    return _tps_vec(gen, p.gamma, _linnik_log_scales(gen, p, n), 0.0, n, max_tries)
 
 
 def _sample_tpl(gen, p: TemperedLinnikParams, n, route, max_tries):
-    return _scaled_tps(gen, p.gamma, _linnik_scales(gen, p, n), p.theta, n, max_tries)
+    return _tps_vec(gen, p.gamma, _linnik_log_scales(gen, p, n), p.theta, n, max_tries)
 
 
 def _sample_nb(gen, p: NegativeBinomialParams, n, route, max_tries):

@@ -180,11 +180,13 @@ def draw(tag, params, route):
 
 
 #: the whole float box on the sampling routes: exponents near the ends of
-#: double precision and c next to 0 and 1 (a <= 0 needs c < 1)
+#: double precision and c next to 0 and 1 (a <= 0 needs c < 1); b = 1e20
+#: puts route c's unthinned count past the generator cap while its thinned
+#: count stays under it
 FLOAT_BOX = [
     TdlParams(a, b, c, d)
     for a, b, c, d in itertools.product(
-        (-50.0, -10.0, -3.5, 1e-3, 0.999), (1e-300, 1e-10, 1e10, 1e300),
+        (-50.0, -10.0, -3.5, 1e-3, 0.999), (1e-300, 1e-10, 1e10, 1e20, 1e300),
         (1e-300, 1e-7, 0.5, 1.0 - 1e-12, 1.0), (0.0, 1e-300, 1e300))
     if a > 0 or c < 1
 ]

@@ -719,6 +719,21 @@ class TestTdlRoutes:
             with pytest.raises(HeavyTailOverflow, match=message):
                 sample_batch("tdl", params, 1000, seed=1)
 
+    @pytest.mark.parametrize("law, params, route", [
+        ("ps", StableParams(5e-324, 1.0), "auto"),
+        ("tps", TemperedStableParams(5e-324, 1.0, 1.0), "auto"),
+        ("pl", LinnikParams(5e-324, 1.0, 1.0), "auto"),
+        ("tpl", TemperedLinnikParams(5e-324, 1.0, 1.0, 1.0), "auto"),
+        ("tdl", TdlParams(5e-324, 1.0, 1.0, 0.0), "a"),
+    ])
+    def test_subnormal_gamma_is_a_typed_error_without_a_warning(self, law, params, route):
+        # gamma h rounds to 0, so some Kanter draws are 0 * inf = nan: a
+        # proposal the tempering cannot accept or reject
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HeavyTailOverflow, match="overflowed double precision"):
+                sample_batch(law, params, 1000, seed=3, route=route)
+
     def test_small_gamma_tempering_rejects_overflowing_proposals(self):
         # at gamma = 0.01 about 8e-4 of Kanter proposals overflow to inf; their
         # acceptance probability exp(-theta inf) is 0, so they are redrawn
@@ -837,6 +852,9 @@ class TestGeneratorCaps:
         ("nb", NegativeBinomialParams(0.999999999, 1e15), "auto"),
         # q / (1 + q) rounds to 1, so 1 - pi is 0
         ("tdl", TdlParams(-3.0, 1e5, 0.999999, 1e3), "c"),
+        # N's mean b (1-c)^a = 1e20 passes the cap, and the thinned count's
+        # b |h| = 1e13 jumps per draw are too many to draw one by one
+        *[("tdl", TdlParams(-1.0, 1e20, 1e-7, 0.0), r) for r in ("auto", "c")],
     ])
     def test_intensity_past_the_cap_is_a_typed_error(self, law, params, route):
         with warnings.catch_warnings():
