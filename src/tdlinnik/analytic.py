@@ -29,9 +29,15 @@ binomial (TDL) number of jumps with weights |binom(a, j)| c^j, and
 evaluates it by Panjer's recursion: O(kmax^2) work, all-positive terms,
 and a running power-of-two scale, so whole tables stay accurate out to k
 in the thousands even where P(X = 0) underflows.  Each entry is one dot
-product over the interleaved pairs (k g_k, g_k), since up to a few
-thousand entries the cost per entry is interpreter overhead.  The finite
-sum itself remains the reference path the tests check the tables against.
+product, over the interleaved pairs (k g_k, g_k) at d > 0 and over the
+g_k alone at d = 0, since up to a few thousand entries the cost per entry
+is interpreter overhead.  The recursion stops at
+K* = min_s (log G(s) + 1076 log 2 + 1) / log s over a ladder of
+s in (1, 1/c): by the Chernoff bound P(X = k) <= G(s) / s^k every entry
+past K* is below 2^-1076, rounds to 0 and is set to 0.  Entries before
+K* that lie in the subnormal range still carry few significant bits.  The
+finite sum itself remains the reference path the tests check the tables
+against.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from typing import Union
 
 import numpy as np
 
-from .coeffs import CoeffTable, _abs_binom_sequence, build_table
+from .coeffs import CoeffTable, _abs_binom_sequence, _chernoff_index, _log1m_cs, build_table
 from .errors import DomainError, NumericalInstability
 from .limits import DEFAULT_KMAX  # noqa: F401  (re-exported)
 from .params import (
@@ -69,6 +75,11 @@ _LN2 = math.log(2.0)
 #: once one passes _RESCALE_AT, far below overflow
 _RESCALE_BITS = 800
 _RESCALE_AT = 2.0**_RESCALE_BITS
+
+#: log of a level below which a table entry rounds to 0: 2^-1076, half of
+#: the 2^-1075 below which a double is 0, with a further factor e of margin
+#: for the rounding of log G in the Chernoff bound that proves it
+_LOG_ROUNDS_TO_ZERO = -(1076 * _LN2 + 1.0)
 
 
 def _check_s(s: float) -> None:
@@ -335,14 +346,18 @@ def _panjer(a: float, b: float, c: float, kmax: int, *, d: float) -> np.ndarray:
 
         k g_k = sum_{i=0..k-1} A r_{k-i} (i g_i) + (A + B) (k-i) r_{k-i} g_i,
 
-    non-negative weights whatever the sign of B, so no term cancels.  The
-    pairs (i g_i, g_i) are stored interleaved in one array z and the
-    weights in one reversed array w, so each entry costs one contiguous
-    dot product: at these sizes the per-entry cost is interpreter
-    overhead, not arithmetic.  The recursion runs on g_k / 2^e, starting
-    from log g_0 and raising e whenever the scaled values grow large, so
-    a g_0 that underflows double precision still yields the mass lying
-    inside kmax.
+    non-negative weights whatever the sign of B, so no term cancels.  Each
+    entry costs one contiguous dot product (at these sizes the per-entry
+    cost is interpreter overhead, not arithmetic) of the reversed weights
+    w with the sequence z: the pairs (i g_i, g_i) interleaved where A != 0,
+    the g_i alone at A == 0 (d == 0), where the i g_i would meet zeros.
+    The recursion runs on g_k / 2^e, starting from log g_0 and raising e
+    whenever the scaled values grow large, so a g_0 that underflows double
+    precision still yields the mass lying inside kmax.  Subnormal entries
+    carry few significant bits, and one whose true value rounds to 0 can
+    come out as a few units of 2^-1074; :func:`build_pmf_table` stops the
+    recursion where :func:`_panjer_stop` proves every later entry rounds
+    to 0.
     """
     if a == 0 or c == 0:
         g = np.zeros(kmax + 1)
@@ -364,22 +379,55 @@ def _panjer(a: float, b: float, c: float, kmax: int, *, d: float) -> np.ndarray:
         # to 0; e itself would leave the int32 range of np.ldexp
         return np.zeros(kmax + 1)
     r = _abs_binom_sequence(a, kmax, damp=c)
-    # w[2m] = A r_j and w[2m+1] = (A+B) j r_j with j = kmax - m, so that
-    # k g_k = dot(w[2(kmax-k) : 2 kmax], z[:2k]) with z[2i] = i g_i and
-    # z[2i+1] = g_i, on the running scale 2^e
-    w = np.column_stack((A * r, A_plus_B * np.arange(kmax + 1) * r))[::-1].ravel()
-    z = np.zeros(2 * kmax + 2)
+    jr = A_plus_B * np.arange(kmax + 1) * r
+    # with width 2, w[2m] = A r_j and w[2m+1] = (A+B) j r_j, j = kmax - m, so
+    # that k g_k = dot(w[2(kmax-k) : 2 kmax], z[:2k]) with z[2i] = i g_i
+    # and z[2i+1] = g_i; with width 1, w[m] = (A+B) j r_j and z[i] = g_i;
+    # all on the running scale 2^e
+    width = 1 if A == 0.0 else 2
+    w = jr[::-1].copy() if width == 1 else np.column_stack((A * r, jr))[::-1].ravel()
+    z = np.zeros(width * (kmax + 1))
     e = math.floor(log_g0 / _LN2)
-    z[1] = math.exp(log_g0 - e * _LN2)
-    top = 2 * kmax
+    z[width - 1] = math.exp(log_g0 - e * _LN2)
+    top = width * kmax
     for k in range(1, kmax + 1):
-        gk = float(w[top - 2 * k : top].dot(z[: 2 * k])) / k
-        z[2 * k] = k * gk
-        z[2 * k + 1] = gk
+        at = width * k
+        gk = float(w[top - at : top].dot(z[:at])) / k
+        if width == 2:
+            z[at] = k * gk
+        z[at + width - 1] = gk
         if gk > _RESCALE_AT:
-            z[: 2 * k + 2] = np.ldexp(z[: 2 * k + 2], -_RESCALE_BITS)
+            z[: at + width] = np.ldexp(z[: at + width], -_RESCALE_BITS)
             e += _RESCALE_BITS
-    return np.ldexp(z[1::2], e)
+    return np.ldexp(z[width - 1 :: width], e)
+
+
+def _panjer_stop(p: Union[TdlParams, TdsParams], kmax: int) -> int:
+    """min(kmax, K*), the last index the Panjer recursion must compute.
+
+    P(X = k) <= G(s) / s^k at every s in (1, 1/c), so past
+    K* = the least (log G(s) + 1076 log 2 + 1) / log s over the Chernoff
+    ladder s = c^-f (:func:`coeffs._chernoff_index`) every entry is below
+    2^-1076 and rounds to 0; where kmax (-log c) <= 1076 log 2 + 1 no
+    ladder point can cut, and G is not evaluated.  log G comes from this
+    module's closed form G(s) = outer(-sgn(a) b ((1-cs)^a - (1-c)^a)), the
+    difference taken as (1-c)^a (r^a - 1) with r = (1-cs)/(1-c) so that it
+    keeps its digits at a small c; past G's radius (d > 0) it is not
+    finite and the point drops out.
+    """
+    if p.a == 0 or not 0.0 < p.c < 1.0:
+        return kmax
+    a, d = p.a, p.d
+    log_c, log_omc = math.log(p.c), math.log1p(-p.c)
+    log_scale = math.log(p.b) + a * log_omc
+
+    def log_pgf(f):
+        # x = b |(1-cs)^a - (1-c)^a|: log G is x at d = 0, -log(1 - d x)/d at d > 0
+        x = np.exp(log_scale) * np.abs(np.expm1(a * (_log1m_cs(log_c, f) - log_omc)))
+        return x if d == 0 else -np.log1p(-d * x) / d
+
+    k = _chernoff_index(-log_c, log_pgf, _LOG_ROUNDS_TO_ZERO, kmax)
+    return kmax if k is None else k
 
 
 def build_pmf_table(p: Union[TdlParams, TdsParams], kmax: int) -> PmfTable:
@@ -394,4 +442,8 @@ def build_pmf_table(p: Union[TdlParams, TdsParams], kmax: int) -> PmfTable:
         raise DomainError(f"kmax must be >= 0, got {kmax}")
     if not isinstance(p, (TdlParams, TdsParams)):
         raise DomainError(f"expected TdlParams or TdsParams, got {type(p).__name__}")
-    return _finalize_pmf("tdl", p, _panjer(p.a, p.b, p.c, kmax, d=p.d))
+    stop = _panjer_stop(p, kmax)
+    g = _panjer(p.a, p.b, p.c, stop, d=p.d)
+    if stop < kmax:
+        g = np.concatenate((g, np.zeros(kmax - stop)))
+    return _finalize_pmf("tdl", p, g)

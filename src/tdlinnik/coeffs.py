@@ -19,6 +19,10 @@ Three evaluation paths are provided and cross-checked against each other:
   convolution powers of the coefficient sequence of (1-s)^gamma - 1,
   which involves only same-sign accumulation and stays accurate for k in
   the hundreds.
+
+It also holds the one Chernoff rule by which every table of a count law
+is cut, :func:`_chernoff_index`: the sampler's inversion tables and the
+Panjer tables of :mod:`analytic` read it with their own tail levels.
 """
 
 from __future__ import annotations
@@ -29,6 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+
+#: the points s = sigma^f, f in (0, 1), of every table's Chernoff bound:
+#: geometric ladders toward s = 1 and toward the p.g.f.'s radius sigma
+_LADDER = 2.0 ** -(np.arange(1, 97) / 4)
+_CHERNOFF_F = np.concatenate((_LADDER, 1.0 - _LADDER))
 
 
 def gen_binom(x: float, k: int) -> float:
@@ -181,3 +190,30 @@ def build_table(gamma: float, kmax: int) -> CoeffTable:
             w = np.convolve(w, r)[:n]
         values[m] = (-1.0) ** (ks + m) * sign_v**m * w
     return CoeffTable(gamma=gamma, kmax=kmax, values=values)
+
+
+def _log1m_cs(log_c: float, f: np.ndarray) -> np.ndarray:
+    """log(1 - cs) at s = c^-f: log1p(-cs) where cs < 1/2, log(-expm1(.))
+    above, so that neither end loses digits."""
+    y = log_c * (1.0 - f)
+    return np.where(y < -math.log(2.0), np.log1p(-np.exp(y)), np.log(-np.expm1(y)))
+
+
+def _chernoff_index(log_sigma: float, log_pgf, log_tail: float, cap: float) -> int | None:
+    """The least floor((log G(s) - log_tail) / log s) over s = sigma^f, f in
+    ``_CHERNOFF_F``, and at least 1, for a count law whose p.g.f. G
+    converges for s < sigma; None where that exceeds ``cap`` (or at
+    sigma <= 1).  At every s > 1, P(X = k) <= P(X >= k) <= G(s) / s^k, so
+    past the returned K each entry, and the mass P(X > K), is below
+    exp(log_tail).  ``log_pgf(f)`` gives log G(sigma^f); a point where it
+    is not finite is dropped.  G(s) >= 1 at s > 1, so no point cuts below
+    -log_tail / log sigma, and where that reaches ``cap`` G is not
+    evaluated."""
+    if not 0.0 < log_sigma < math.inf or -log_tail >= cap * log_sigma:
+        return None
+    with np.errstate(all="ignore"):
+        k = (log_pgf(_CHERNOFF_F) - log_tail) / (log_sigma * _CHERNOFF_F)
+    k = k[np.isfinite(k)]
+    if not k.size or not k.min() <= cap:
+        return None
+    return max(int(k.min()), 1)

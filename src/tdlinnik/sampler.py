@@ -61,8 +61,8 @@ at most ``GDS_TABLE_MAX`` entries.  Route auto's table is one inverse FFT
 of the closed-form p.g.f. outer(beta ((1-cs)^a - (1-c)^a)) at the M-th
 roots of unity (Abate & Whitt 1992), built only where that costs no more
 than the compound route's draws (:func:`_family_table_max`), and not where
-b d is subnormal or 1/d overflows.  It shares no code with the Panjer
-tables and the series oracle that check it.
+b d is subnormal or 1/d overflows.  It shares no p.g.f. evaluation with
+the Panjer tables, and no code with the series oracle, that check it.
 
 Route auto, the default, has no tempering rejection: its table and routes
 c and d have no tempering step, and route a skips it at c = 1
@@ -105,7 +105,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import _abs_binom_sequence
+from .coeffs import _abs_binom_sequence, _chernoff_index, _log1m_cs
 from .errors import (
     DomainError,
     HeavyTailOverflow,
@@ -161,11 +161,6 @@ _ZERO_SPLIT_MIN = 0.4
 
 #: log of the mass an inversion table may leave out
 _LOG_TABLE_TAIL = math.log(1e-17)
-
-#: the points s = sigma^f, f in (0, 1), of every table's Chernoff bound:
-#: geometric ladders toward s = 1 and toward the p.g.f.'s radius sigma
-_LADDER = 2.0 ** -(np.arange(1, 97) / 4)
-_CHERNOFF_F = np.concatenate((_LADDER, 1.0 - _LADDER))
 
 #: log of the smallest normal double
 _LOG_TINY = math.log(sys.float_info.min)
@@ -353,30 +348,13 @@ def _table_draws(gen: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarra
     return _scattered(n, *_split_draws(gen, cdf, n))
 
 
-def _log1m_cs(log_c: float, f: np.ndarray) -> np.ndarray:
-    """log(1 - cs) at s = c^-f: log1p(-cs) where cs < 1/2, log(-expm1(.))
-    above, so that neither end loses digits."""
-    y = log_c * (1.0 - f)
-    return np.where(y < -math.log(2.0), np.log1p(-np.exp(y)), np.log(-np.expm1(y)))
-
-
 def _table_size(log_sigma: float, log_pgf) -> int | None:
     """The last index K of a table over k = 0..K that leaves out less than
-    1e-17 of a count law whose p.g.f. G converges for s < sigma, or None
-    past ``GDS_TABLE_MAX`` (or at sigma <= 1).  P(X > K) is at most the
-    Chernoff bound G(s) / s^(K+1), so K is the least
-    floor((log G(s) - log 1e-17) / log s) over s = sigma^f, f in
-    ``_CHERNOFF_F``, and at least 1, so that the table holds the mean.
-    ``log_pgf(f)`` gives log G(sigma^f); a point where it is not finite
-    is dropped."""
-    if not 0.0 < log_sigma < math.inf:
-        return None
-    with np.errstate(all="ignore"):
-        k = (log_pgf(_CHERNOFF_F) - _LOG_TABLE_TAIL) / (log_sigma * _CHERNOFF_F)
-    k = k[np.isfinite(k)]
-    if not k.size or not k.min() <= GDS_TABLE_MAX:
-        return None
-    return max(int(k.min()), 1)
+    1e-17 of a count law whose p.g.f. G converges for s < sigma, by the
+    Chernoff rule :func:`coeffs._chernoff_index` (at least 1, so that the
+    table holds the mean), or None past ``GDS_TABLE_MAX`` (or at
+    sigma <= 1).  ``log_pgf(f)`` gives log G(sigma^f)."""
+    return _chernoff_index(log_sigma, log_pgf, _LOG_TABLE_TAIL, GDS_TABLE_MAX)
 
 
 def _log_jump_mass(a: float, c: float) -> float:
@@ -480,8 +458,13 @@ def _compound(gen: np.random.Generator, counts: np.ndarray, draw) -> np.ndarray:
 
     The jumps are drawn in order, at most ``JUMP_BLOCK`` at a time from the
     one generator, so memory stays bounded whatever the total; each block
-    adds its running sums at the count ends it covers.
+    adds its running sums at the count ends it covers.  A total past the
+    int64 range of the running count ends raises
+    :class:`HeavyTailOverflow` before any jump is drawn.
     """
+    jumps = float(counts.sum(dtype=np.float64))
+    if not jumps < 2.0**63:
+        raise HeavyTailOverflow(f"the batch's {jumps:.3g} jumps pass the int64 range")
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
     at_ends = np.zeros(len(counts), dtype=np.int64)  # sum of all jumps before each end

@@ -32,6 +32,7 @@ from tdlinnik import (
     tds_pgf,
     tds_pmf,
 )
+from tdlinnik.analytic import _panjer, _panjer_stop
 
 S_GRID = [i / 20 for i in range(21)]
 
@@ -418,6 +419,50 @@ class TestPanjer:
                     term *= pn * (1 - cm) / cm * (n + r) * (k - n) / ((n + 1) * n)
                     want += term
             assert table.p[k] == pytest.approx(float(want), rel=1e-12, abs=0)
+
+    def test_tail_past_the_chernoff_stop_is_zero(self):
+        # the entries fall by about c = 0.55 per step from 1.7e-290 at
+        # k = 1106, so from k ~ 1237 on their true values round to 0; the
+        # recursion run to kmax leaves 4.9e-323 at every k from 1236 to 1600
+        p = TdlParams(0.75, 10.0, 0.55, 0.0)
+        stop = _panjer_stop(p, 1600)
+        assert 1237 <= stop <= 1300
+        table = build_pmf_table(p, 1600)
+        assert not table.p[stop + 1:].any()
+        assert table.p[1106] == pytest.approx(1.7e-290, rel=0.01)
+        # the bound in 30 digits: G(s) / s^(stop+1) < 2^-1075 at one s in
+        # (1, 1/c), with G(s) = exp(b ((1-c)^a - (1-cs)^a)); at a > 0, G is
+        # finite at 1/c and the best s lies near it
+        with mp.workdps(30):
+            a, b, c = mp.mpf(p.a), mp.mpf(p.b), mp.mpf(p.c)
+            log_bound = min(
+                b * ((1 - c) ** a - (1 - c * s) ** a) - (stop + 1) * mp.log(s)
+                for s in (c ** -(1 - mp.mpf(2) ** -j) for j in range(1, 60))
+            )
+        assert log_bound < -1075 * math.log(2.0)
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 0.05, 0.3, 0.55, 0.8, 0.95])
+    @pytest.mark.parametrize("a", [-3.0, -1.0, -0.3, 0.2, 0.75, 1.0])
+    def test_stop_drops_no_normal_range_entry(self, a, c):
+        # the stopped table equals the recursion run to kmax bit for bit up
+        # to the stop, where that recursion has left the normal range, and
+        # is 0 past it; b = 3000 at d = 0 rescales on the way
+        stopped = 0
+        for b in (1e-3, 1.0, 10.0, 3000.0):
+            for d in (0.0, 1e-3, 1.0, 30.0):
+                for kmax in (400, 3200):
+                    p = TdlParams(a, b, c, d)
+                    stop = _panjer_stop(p, kmax)
+                    if stop == kmax:
+                        continue  # the table is the recursion run to kmax
+                    stopped += 1
+                    table = build_pmf_table(p, kmax).p
+                    full = _panjer(a, b, c, kmax, d=d)
+                    np.testing.assert_array_equal(table[: stop + 1], full[: stop + 1])
+                    assert np.all(full[stop + 1:] < 2.0**-1022)
+                    assert not table[stop + 1:].any()
+        # no ladder point cuts where kmax (-log c) <= 1076 log 2 + 1
+        assert stopped == 0 if c > 0.75 else stopped > 0
 
     def test_longer_table_extends_the_shorter_one(self):
         # the point rescales by 2^800 on the way (P(0) is about 1e-382)

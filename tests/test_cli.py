@@ -85,6 +85,13 @@ class TestPmfCommand:
         lines = res.output.splitlines()
         assert lines[-2:] == ["400,0.0,0.0", "tail,1.0,1.0"]
 
+    def test_entries_past_the_chernoff_stop_print_as_zero(self, runner):
+        # the recursion run to kmax left 4.9e-323 from k = 1236 to 1600
+        res = invoke(runner, "pmf", "-a", "0.75", "-b", "10", "-c", "0.55", "-d", "0",
+                     "--kmax", "1600")
+        assert res.exit_code == 0
+        assert res.output.splitlines()[-2].startswith("1600,0.0,")
+
     def test_domain_error_exit_code(self, runner):
         res = runner.invoke(
             main, ["pmf", "-a", "-1", "-b", "1", "-c", "1", "-d", "1"]
@@ -205,6 +212,13 @@ class TestSampleCommand:
         assert res.exit_code == 0, res.output
         assert len(res.output.split()) == 1000
         assert runner.invoke(main, [*args, "--route", "a"]).exit_code == 4
+
+    def test_jump_total_past_int64_exit(self, runner):
+        res = runner.invoke(main, ["sample", "--law", "tdl", "-a", "0.001", "-b", "1e20",
+                                   "-c", "0.5", "-d", "0", "-n", "1000", "--seed", "1",
+                                   "--route", "d"])
+        assert res.exit_code == 4
+        assert res.output == "error: the batch's 6.93e+19 jumps pass the int64 range\n"
 
     @pytest.mark.parametrize("a, b, d, message", [
         pytest.param("0.001", "0.0062", "0.00034",

@@ -862,6 +862,15 @@ class TestGeneratorCaps:
             with pytest.raises(HeavyTailOverflow, match="generator cap"):
                 sample_batch(law, params, 5, seed=1, route=route)
 
+    @pytest.mark.parametrize("route", ["d", "auto"])
+    def test_jump_total_past_int64_is_a_typed_error(self, route):
+        # b |h| = 6.9e16 non-zero jumps per draw, 6.9e19 in the batch: the
+        # running count ends would wrap to negative and draw 1000 zeros
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HeavyTailOverflow, match="int64 range"):
+                sample_batch("tdl", TdlParams(1e-3, 1e20, 0.5, 0.0), 1000, seed=1, route=route)
+
     @pytest.mark.parametrize("law, params", [
         # lam theta^gamma = 1e310 overflows the product
         ("tps", TemperedStableParams(-1.0, 1e300, 1e-10)),
