@@ -1,8 +1,13 @@
-"""Closed-form generating functions, Laplace transforms, and finite-sum PMFs.
+"""Closed-form generating functions, Laplace transforms, finite-sum PMFs,
+and every table of the family law.
 
 Generating functions are evaluated through ``log1p``-based powers so the
 identities between neighbouring laws (d -> 0, theta -> 0, c -> 1) hold to
-full precision.  The probability functions of the tempered discrete stable
+full precision.  The family p.g.f. G(s) = outer(beta ((1-cs)^a - (1-c)^a))
+is evaluated in doubles in one place, in logs, :func:`_family_log_pgf`:
+:func:`tdl_pgf`, the Panjer table's P(0) and stop, and route auto's table
+(:func:`_family_cdf`, one inverse FFT of G, which :mod:`sampler` inverts)
+all read it.  The probability functions of the tempered discrete stable
 and tempered discrete Linnik laws are the finite sums
 
     P(X_TDS = k) = exp(-sgn(a) b (1-(1-c)^a)) (-c)^k
@@ -36,13 +41,14 @@ K* = min_s (log G(s) + 1076 log 2 + 1) / log s over a ladder of
 s in (1, 1/c): by the Chernoff bound P(X = k) <= G(s) / s^k every entry
 past K* is below 2^-1076, rounds to 0 and is set to 0.  Entries before
 K* that lie in the subnormal range still carry few significant bits.  The
-finite sum itself remains the reference path the tests check the tables
-against.
+finite sum itself remains a reference path the tests check the tables
+against, with the series oracle, which checks both tables.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -81,6 +87,17 @@ _RESCALE_AT = 2.0**_RESCALE_BITS
 #: for the rounding of log G in the Chernoff bound that proves it
 _LOG_ROUNDS_TO_ZERO = -(1076 * _LN2 + 1.0)
 
+#: longest inversion table (counts, jumps, the gds law, route auto's); longer
+#: ones take another method
+GDS_TABLE_MAX = 1 << 17
+
+#: log of the mass an inversion table may leave out
+_LOG_TABLE_TAIL = math.log(1e-17)
+
+#: points of the unit circle at which a family table's p.g.f. is evaluated
+#: at a time, so the build's temporaries stay small
+_PGF_BLOCK = 1 << 12
+
 
 def _check_s(s: float) -> None:
     if not 0.0 <= s <= 1.0:
@@ -98,6 +115,129 @@ def _pow_one_minus(x: float, a: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The family p.g.f. G(s) = outer(beta ((1-cs)^a - (1-c)^a)) in logs
+
+
+def _family_inner(a: float, log_omc: float, log_1mcs, log_r, arg_r=None) -> tuple:
+    """The inner term (1-cs)^a - (1-c)^a as exp(log_hi) (u + i v), from
+    log(1-c) (-inf at c = 1), log |1-cs|, and log |r| and arg r of
+    r = (1-cs)/(1-c), a real s where ``arg_r`` is None.
+
+    The larger in modulus of the two powers is factored out, so that with
+    t = a log |r| and theta = a arg r
+
+        t >= 0:  log_hi = a log |1-cs|,  u + i v = e^(i theta) - e^-t
+        t < 0:   log_hi = a log(1-c),    u + i v = e^(t + i theta) - 1,
+
+    each formed from expm1 and sin^2, so u + i v keeps its digits where
+    the powers agree in most of theirs (a small c), and |u + i v| <= 2.
+    At a real s, v = 0 and u = sgn(t) (1 - e^-|t|).  At c = 1 (a > 0) r
+    is infinite and the term is (1-cs)^a."""
+    t = a * log_r
+    e = np.expm1(-abs(t))
+    log_hi = np.maximum(a * log_1mcs, a * log_omc)
+    if arg_r is None:
+        return log_hi, np.copysign(e, t), 0.0
+    theta = a * arg_r
+    sin2 = 2.0 * np.sin(0.5 * theta) ** 2
+    u = np.where(t >= 0.0, -e, e * np.cos(theta)) - sin2
+    v = np.where(t >= 0.0, 1.0, 1.0 + e) * np.sin(theta)
+    return log_hi, u, v
+
+
+def _family_log_pgf(a: float, c: float, beta: tuple, power, log_1mcs, log_r,
+                    arg_r=None) -> tuple:
+    """log |G| and arg G of G(s) = outer(beta ((1-cs)^a - (1-c)^a)), outer
+    x^power of 1 + x, or exp at ``power`` None, with beta = m 2^k given as
+    (m, k), and s given as in :func:`_family_inner`.  In polar form a real
+    s and the unit circle share one evaluation in real arithmetic; a real
+    s skips the imaginary parts.
+
+    The scale of x = beta exp(log_hi) (u + i v) enters as a sum of logs,
+    log |beta| + log_hi, with the binary exponents of beta and of (1-c)^a
+    kept as integers (exp(log_hi) = 2^j e^(log_hi - j log 2), j that of
+    (1-c)^a, added to k), so no factor of x over- or underflows and x is
+    rounded to a double once, last: a b d or a (1-c)^a past double
+    precision is no inf and no 0.  log_hi - j log 2 exceeds t by at most
+    log 2 / 2, and t passes 709 only next to G's singularity at 1/c.
+    log |1 + x| is formed from x, as log1p(x) at a real s and as
+    log1p(x_re (2 + x_re) + x_im^2) / 2 on the circle, so a small x keeps
+    its digits however large |power| is; where x overflows it is
+    log |x| + log |1 + 1/x|, so that no log1p of inf is taken.  At a real
+    s, G is finite and positive only where log |G| is finite and arg G is
+    0: 1 + x <= 0 gives an infinite modulus or an argument of power pi.
+    Call it under ``np.errstate(all="ignore")``."""
+    m, k = beta
+    log_omc = math.log1p(-c) if c < 1.0 else -math.inf
+    j = round(a * log_omc / _LN2) if c < 1.0 else 0
+    log_hi, u, v = _family_inner(a, log_omc, log_1mcs, log_r, arg_r)
+    mant = m * np.exp(log_hi - j * _LN2)
+    k += j
+    re = np.ldexp(mant * u, k)
+    im = 0.0 if arg_r is None else np.ldexp(mant * v, k)
+    if power is None:
+        return re, im
+    if arg_r is None:
+        log_mod, arg, big = np.log1p(re), 0.0, np.isinf(re)
+    else:
+        log_mod = 0.5 * np.log1p(re * (2.0 + re) + im * im)
+        arg, big = np.arctan2(im, 1.0 + re), np.isinf(abs(re) + abs(im))
+    if big.any():
+        # 1 + x = |x| (e^(i psi) + q) with q = 1/|x|, psi = arg x
+        h = np.hypot(u, v)
+        log_x = np.log(np.abs(mant) * h) + k * _LN2
+        q = np.exp(-log_x)
+        sign = math.copysign(1.0, m)
+        cos, sin = sign * u / h, sign * v / h
+        log_mod = np.where(big, log_x + 0.5 * np.log1p(q * (2.0 * cos + q)), log_mod)
+        arg = np.where(big, np.arctan2(sin, cos + q), arg)
+    return power * log_mod, power * arg
+
+
+def _tdl_scale(a: float, b: float, d: float) -> tuple:
+    """(beta, power) of the tdl law (a, b, c, d) for :func:`_family_log_pgf`:
+    beta = sgn(a) b d as the product of the mantissas of b and d and the
+    sum of their exponents, so that b d need not be a double, and
+    power = -1/d.  At d = 0 (tds) they are -sgn(a) b and None (exp), and so
+    where 1/d overflows: log1p(b d y)/d and b y differ there by
+    b^2 d y^2 / 2, below double precision wherever G is not 0."""
+    m, k = math.frexp(math.copysign(b, a))
+    if d == 0 or 1.0 / d == math.inf:
+        return (-m, k), None
+    md, kd = math.frexp(d)
+    return (m * md, k + kd), -1.0 / d
+
+
+def _ladder_index(a: float, c: float, beta: tuple, power, log_tail: float,
+                  cap: float) -> int | None:
+    """:func:`coeffs._chernoff_index` of the family law at tail level
+    exp(log_tail) and ``cap``, on the ladder s = c^-f in (1, 1/c): log G
+    from :func:`_family_log_pgf` (under the errstate the index takes), a
+    point where G is not finite and positive dropped.  It sizes route
+    auto's table (:func:`_family_cdf`) and stops the Panjer recursion
+    (:func:`_panjer_stop`)."""
+    log_c, log_omc = math.log(c), math.log1p(-c)
+
+    def log_pgf(f):
+        log_1mcs = _log1m_cs(log_c, f)
+        log_g, arg_g = _family_log_pgf(a, c, beta, power, log_1mcs, log_1mcs - log_omc)
+        return np.where(arg_g == 0.0, log_g, np.nan)
+
+    return _chernoff_index(-log_c, log_pgf, log_tail, cap)
+
+
+def _log_jump_mass(a: float, c: float) -> float:
+    """log |h| with h = (1-c)^a - 1 = -((1-cs)^a - (1-c)^a) at s = 0: the
+    mass 1 - (1-c)^a of the non-zero GDS-Sibuya(a, c) jumps for a > 0, and
+    (1-c)^a - 1 = (1-c)^a P(X > 0) for the NB(c, -a) jumps of a < 0; 0 at
+    c = 1, -inf where a log(1-c) underflows."""
+    log_omc = math.log1p(-c) if c < 1.0 else -math.inf
+    with np.errstate(all="ignore"):
+        log_hi, u, _ = _family_inner(a, log_omc, 0.0, -log_omc)
+        return float(log_hi + np.log(np.abs(u)))
+
+
+# ---------------------------------------------------------------------------
 # Probability generating functions
 
 
@@ -105,15 +245,17 @@ def tdl_pgf(p: Union[TdlParams, TdsParams], s: float) -> float:
     """Tempered discrete Linnik p.g.f.
 
     g(s) = (1 + sgn(a) b d ((1-cs)^a - (1-c)^a))^(-1/d) for d > 0, and its
-    d == 0 member, the Poisson-Tweedie law, g(s) = exp(sgn(a) b ((1-c)^a - (1-cs)^a)).
+    d == 0 member, the Poisson-Tweedie law, g(s) = exp(sgn(a) b ((1-c)^a - (1-cs)^a)),
+    evaluated by :func:`_family_log_pgf` with r = 1 + c (1-s)/(1-c).
     """
     _check_s(s)
-    if p.a == 0:
+    if p.a == 0 or s == 1.0:
         return 1.0
-    delta = _pow_one_minus(p.c * s, p.a) - _pow_one_minus(p.c, p.a)
-    if p.d == 0:
-        return math.exp(-sgn(p.a) * p.b * delta)
-    return math.exp(-math.log1p(sgn(p.a) * p.b * p.d * delta) / p.d)
+    beta, power = _tdl_scale(p.a, p.b, p.d)
+    with np.errstate(all="ignore"):
+        log_r = np.log1p(np.divide(p.c * (1.0 - s), 1.0 - p.c))  # inf at c = 1
+        log_g, _ = _family_log_pgf(p.a, p.c, beta, power, np.log1p(-p.c * s), log_r)
+        return float(np.exp(log_g))
 
 
 #: the tempered discrete stable (Poisson-Tweedie) p.g.f., the d == 0 member
@@ -172,6 +314,20 @@ def ps_laplace(p: StableParams, t: float) -> float:
     return math.exp(-p.lam * t**p.gamma)
 
 
+def _tempered_increment(gamma: float, theta: float, t: float) -> float:
+    """(theta+t)^gamma - theta^gamma.  At theta > 0 it is
+    theta^gamma expm1(gamma L), L = log1p(t/theta), with the larger power
+    factored out: (theta+t)^gamma (1 - e^(-gamma L)) for gamma > 0, so it
+    keeps its digits where t << theta and overflows no factor where
+    t >> theta; at theta = 0 it is the difference itself."""
+    if theta == 0:
+        return (theta + t) ** gamma - theta**gamma
+    log_ratio = math.log1p(t / theta)
+    if gamma > 0:
+        return -((theta + t) ** gamma) * math.expm1(-gamma * log_ratio)
+    return theta**gamma * math.expm1(gamma * log_ratio)
+
+
 def tps_laplace(p: TemperedStableParams, t: float) -> float:
     """Tweedie / tempered positive stable transform.
 
@@ -180,9 +336,7 @@ def tps_laplace(p: TemperedStableParams, t: float) -> float:
     _check_t(t)
     if p.gamma == 0:
         return 1.0
-    return math.exp(
-        sgn(p.gamma) * p.lam * (p.theta**p.gamma - (p.theta + t) ** p.gamma)
-    )
+    return math.exp(-sgn(p.gamma) * p.lam * _tempered_increment(p.gamma, p.theta, t))
 
 
 def pl_laplace(p: LinnikParams, t: float) -> float:
@@ -199,7 +353,7 @@ def tpl_laplace(p: TemperedLinnikParams, t: float) -> float:
     _check_t(t)
     if p.gamma == 0:
         return 1.0
-    inner = sgn(p.gamma) * p.lam * ((p.theta + t) ** p.gamma - p.theta**p.gamma)
+    inner = sgn(p.gamma) * p.lam * _tempered_increment(p.gamma, p.theta, t)
     return math.exp(-p.delta * math.log1p(inner / p.delta))
 
 
@@ -338,10 +492,12 @@ def _panjer(a: float, b: float, c: float, kmax: int, *, d: float) -> np.ndarray:
     r_j = |binom(a, j)| c^j.  Panjer's (a, b, 0) recursion gives
 
         g_k = sum_{j=1..k} (A + B j/k) r_j g_{k-j}
-        d == 0:  g_0 = exp(-sgn(a) b h),  A = 0, B = b
-        d > 0:   g_0 = x0^(-1/d),         A = y, B = y (1/d - 1)
+        d == 0:  A = 0,         B = b
+        d > 0:   A = b d g_0^d,  B = A (1/d - 1)
 
-    with h = 1 - (1-c)^a, x0 = 1 + sgn(a) b d h and y = b d / x0.  Writing
+    with g_0 = G(0) from :func:`_family_log_pgf`, and A and A + B = A/d
+    formed in logs from log g_0, as g_0^-d = 1 + sgn(a) b d (1 - (1-c)^a):
+    log A = log b + log d + d log g_0, so that no b d is formed.  Writing
     A + B j/k = A (k-j)/k + (A + B) j/k and i = k - j gives
 
         k g_k = sum_{i=0..k-1} A r_{k-i} (i g_i) + (A + B) (k-i) r_{k-i} g_i,
@@ -363,16 +519,12 @@ def _panjer(a: float, b: float, c: float, kmax: int, *, d: float) -> np.ndarray:
         g = np.zeros(kmax + 1)
         g[0] = 1.0
         return g
-    h = 1.0 - _pow_one_minus(c, a)
-    s = sgn(a)
-    if d == 0:
-        log_g0 = -s * b * h
+    with np.errstate(all="ignore"):
+        log_g0 = float(_family_log_pgf(a, c, *_tdl_scale(a, b, d), 0.0, -np.log1p(-c))[0])
         A, A_plus_B = 0.0, b
-    else:
-        arg = s * b * d * h
-        log_g0 = -math.log1p(arg) / d  # log (1 + sgn(a) b d h)^(-1/d)
-        A = b * d / (1.0 + arg)
-        A_plus_B = A / d
+        if d > 0:
+            log_a_plus_b = math.log(b) + d * log_g0
+            A, A_plus_B = float(np.exp(log_a_plus_b + math.log(d))), float(np.exp(log_a_plus_b))
     if log_g0 < -_LN2 * (_RESCALE_BITS * kmax + 2100):
         # e rises by at most _RESCALE_BITS per entry and the scaled values
         # stay below 2^1024, so every entry lies below 2^-1076 and rounds
@@ -407,26 +559,14 @@ def _panjer_stop(p: Union[TdlParams, TdsParams], kmax: int) -> int:
 
     P(X = k) <= G(s) / s^k at every s in (1, 1/c), so past
     K* = the least (log G(s) + 1076 log 2 + 1) / log s over the Chernoff
-    ladder s = c^-f (:func:`coeffs._chernoff_index`) every entry is below
-    2^-1076 and rounds to 0; where kmax (-log c) <= 1076 log 2 + 1 no
-    ladder point can cut, and G is not evaluated.  log G comes from this
-    module's closed form G(s) = outer(-sgn(a) b ((1-cs)^a - (1-c)^a)), the
-    difference taken as (1-c)^a (r^a - 1) with r = (1-cs)/(1-c) so that it
-    keeps its digits at a small c; past G's radius (d > 0) it is not
-    finite and the point drops out.
+    ladder s = c^-f (:func:`_ladder_index`, which also sizes route auto's
+    table) every entry is below 2^-1076 and rounds to 0; where
+    kmax (-log c) <= 1076 log 2 + 1 no ladder point can cut, and G is not
+    evaluated.
     """
     if p.a == 0 or not 0.0 < p.c < 1.0:
         return kmax
-    a, d = p.a, p.d
-    log_c, log_omc = math.log(p.c), math.log1p(-p.c)
-    log_scale = math.log(p.b) + a * log_omc
-
-    def log_pgf(f):
-        # x = b |(1-cs)^a - (1-c)^a|: log G is x at d = 0, -log(1 - d x)/d at d > 0
-        x = np.exp(log_scale) * np.abs(np.expm1(a * (_log1m_cs(log_c, f) - log_omc)))
-        return x if d == 0 else -np.log1p(-d * x) / d
-
-    k = _chernoff_index(-log_c, log_pgf, _LOG_ROUNDS_TO_ZERO, kmax)
+    k = _ladder_index(p.a, p.c, *_tdl_scale(p.a, p.b, p.d), _LOG_ROUNDS_TO_ZERO, kmax)
     return kmax if k is None else k
 
 
@@ -447,3 +587,61 @@ def build_pmf_table(p: Union[TdlParams, TdsParams], kmax: int) -> PmfTable:
     if stop < kmax:
         g = np.concatenate((g, np.zeros(kmax - stop)))
     return _finalize_pmf("tdl", p, g)
+
+
+# ---------------------------------------------------------------------------
+# route auto's table: the family law by one inverse FFT of its p.g.f.
+
+
+def _tdl_family(p: Union[TdlParams, TdsParams]) -> tuple:
+    """The family coordinates (a, c, beta, power) of a tdl or tds record, as
+    the law registry records them, in doubles."""
+    beta = math.copysign(p.b, p.a)
+    if p.d == 0:
+        return p.a, p.c, -beta, None
+    return p.a, p.c, beta * p.d, -1.0 / p.d
+
+
+def _family_cdf(a: float, c: float, beta: float, power,
+                max_len: float = GDS_TABLE_MAX) -> np.ndarray | None:
+    """CDF table over k = 0, 1, ... of the count law with p.g.f.
+    G(s) = outer(beta ((1-cs)^a - (1-c)^a)), c < 1, in the coordinates of
+    the law registry (``power`` None for exp), or None where it would pass
+    ``max_len`` or ``GDS_TABLE_MAX`` entries.
+
+    It is sized before any work by :func:`_ladder_index`, from G itself,
+    which converges for s < 1/c, and is then one inverse FFT of G at the
+    M-th roots of unity, M the first power of two above K (Abate & Whitt
+    1992, *Oper. Res. Lett.* 12(5)), so the aliased mass is that bounded
+    tail.  Both read :func:`_family_log_pgf`.  Negative round-off is
+    clipped to 0 and the table is normalised by its own sum.  A subnormal
+    beta, or an infinite power, is refused: |power| would multiply the
+    digits beta has lost.
+    """
+    if not 0.0 < c < 1.0:
+        return None
+    if power is not None and not (abs(beta) >= sys.float_info.min and math.isfinite(power)):
+        return None
+    scale = math.frexp(beta)
+    size = _ladder_index(a, c, scale, power, _LOG_TABLE_TAIL, GDS_TABLE_MAX)
+    if size is None or size > max_len:
+        return None
+    m = 1 << size.bit_length()
+    g = np.empty(m // 2 + 1, complex)
+    log_omc = math.log1p(-c)
+    for lo in range(0, len(g), _PGF_BLOCK):
+        phi = np.arange(lo, min(lo + _PGF_BLOCK, len(g))) * (2.0 * math.pi / m)
+        # |1 - c e^(i phi)|^2 = (1-c)^2 + 4 c sin^2(phi/2), and its real part
+        # 1 - c cos(phi) = (1-c) + 2 c sin^2(phi/2): neither cancels
+        sin2 = np.sin(0.5 * phi) ** 2
+        with np.errstate(all="ignore"):
+            log_r = 0.5 * np.log1p(4.0 * c * sin2 / (1.0 - c) ** 2)
+            log_g, arg_g = _family_log_pgf(a, c, scale, power, log_r + log_omc, log_r,
+                                           np.arctan2(c * np.sin(phi), 2.0 * c * sin2 + (1.0 - c)))
+            g[lo:lo + len(phi)] = np.exp(log_g + 1j * arg_g)
+    pmf = np.fft.irfft(g, m)[: size + 1]
+    cdf = np.cumsum(np.maximum(pmf, 0.0, out=pmf))  # a copy: the FFT's M entries are freed
+    if not 0.0 < cdf[-1] < math.inf:
+        return None
+    cdf /= cdf[-1]
+    return cdf

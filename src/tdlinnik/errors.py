@@ -19,7 +19,9 @@ class UnknownLaw(TdlError, ValueError):
 
 
 class NumericalInstability(TdlError, ArithmeticError):
-    """A computed probability left [0, 1] by more than the abort threshold."""
+    """A computed probability left [0, 1] by more than the abort threshold,
+    or a result (a moment, log P(0)) is not a finite double, or a mean that
+    is divided by rounds to 0."""
 
 
 class DegenerateDistribution(TdlError):

@@ -23,7 +23,13 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateDistribution, DomainError, EmptyGrid, TailTooHeavy
+from .errors import (
+    DegenerateDistribution,
+    DomainError,
+    EmptyGrid,
+    NumericalInstability,
+    TailTooHeavy,
+)
 from .params import TdlParams, TdsParams, sgn
 
 if TYPE_CHECKING:
@@ -50,8 +56,10 @@ def tdl_moments(p: TdlParams | TdsParams) -> MomentSummary:
     """Closed-form moment summary at a parameter point (a tds record is d = 0).
 
     Raises :class:`DegenerateDistribution` when the law is a point mass
-    (a == 0 or c == 0: mu = 0, the indexes are undefined) and
-    :class:`DomainError` at c == 1 where the (1-c) denominators vanish.
+    (a == 0 or c == 0: mu = 0, the indexes are undefined),
+    :class:`DomainError` at c == 1 where the (1-c) denominators vanish, and
+    :class:`NumericalInstability` where mu rounds to 0 or a moment is not a
+    finite double (the closed forms divide by mu and by powers of 1-c).
     """
     if p.is_degenerate:
         raise DegenerateDistribution(
@@ -61,25 +69,25 @@ def tdl_moments(p: TdlParams | TdsParams) -> MomentSummary:
         raise DomainError("moment formulas require c < 1")
     a, b, c, d = p.a, p.b, p.c, p.d
     omc = 1.0 - c
-    mu = sgn(a) * a * b * c * omc ** (a - 1.0)
-    sigma2 = d * mu * mu + (1.0 - a * c) * mu / omc
-    disp = d * mu + (1.0 - a * c) / omc
-    m3 = sigma2 * sigma2 / mu + d * mu * sigma2 + c * (1.0 - a) * mu / omc**2
-    m4 = (
-        3.0 * (2.0 * d + 1.0) * sigma2 * sigma2
-        + (4.0 * c * (1.0 - a) + (1.0 - a * c) ** 2) * sigma2 / omc**2
-        + c**2 * (1.0 - a * a) * mu / omc**3
-    )
-    sig = math.sqrt(sigma2)
-    return MomentSummary(
-        mu=mu,
-        sigma2=sigma2,
-        D=disp,
-        m3=m3,
-        m4=m4,
-        alpha3=m3 / sig**3,
-        alpha4=m4 / sigma2**2,
-    )
+    try:
+        mu = sgn(a) * a * b * c * omc ** (a - 1.0)
+        sigma2 = d * mu * mu + (1.0 - a * c) * mu / omc
+        disp = d * mu + (1.0 - a * c) / omc
+        m3 = sigma2 * sigma2 / mu + d * mu * sigma2 + c * (1.0 - a) * mu / omc**2
+        m4 = (
+            3.0 * (2.0 * d + 1.0) * sigma2 * sigma2
+            + (4.0 * c * (1.0 - a) + (1.0 - a * c) ** 2) * sigma2 / omc**2
+            + c**2 * (1.0 - a * a) * mu / omc**3
+        )
+        sig = math.sqrt(sigma2)
+        values = (mu, sigma2, disp, m3, m4, m3 / sig**3, m4 / sigma2**2)
+    except (OverflowError, ZeroDivisionError):  # a power past double precision, or mu = 0
+        values = (math.nan,)
+    if not all(map(math.isfinite, values)):
+        raise NumericalInstability(
+            f"the moments of {p} are not finite doubles (mu rounds to 0 or a moment overflows)"
+        )
+    return MomentSummary(*values)
 
 
 def moments_from_pmf(table: PmfTable) -> MomentSummary:
@@ -109,15 +117,16 @@ def moments_from_pmf(table: PmfTable) -> MomentSummary:
             mu=mu, sigma2=sigma2, D=float("nan"), m3=m3, m4=m4,
             alpha3=float("nan"), alpha4=float("nan"),
         )
-    sig = math.sqrt(sigma2)
+    # one division at a time: sigma^3 and sigma2^2 can pass double precision
+    # where the indexes do not
     return MomentSummary(
         mu=mu,
         sigma2=sigma2,
         D=sigma2 / mu,
         m3=m3,
         m4=m4,
-        alpha3=m3 / sig**3,
-        alpha4=m4 / sigma2**2,
+        alpha3=m3 / sigma2 / math.sqrt(sigma2),
+        alpha4=m4 / sigma2 / sigma2,
     )
 
 

@@ -56,13 +56,13 @@ for a < 0, are formed as sums of logs, so a c^a past double precision
 does not overflow an intensity of order one.
 
 Counts, jumps, the gds law and route auto invert CDF tables, each sized
-before any work by one rule, :func:`_table_size`, and used while it has
-at most ``GDS_TABLE_MAX`` entries.  Route auto's table is one inverse FFT
-of the closed-form p.g.f. outer(beta ((1-cs)^a - (1-c)^a)) at the M-th
-roots of unity (Abate & Whitt 1992), built only where that costs no more
+before any work by one Chernoff rule and used while it has at most
+``GDS_TABLE_MAX`` entries.  Route auto's table, :func:`analytic._family_cdf`,
+is one inverse FFT of the closed-form p.g.f. outer(beta ((1-cs)^a - (1-c)^a))
+at the M-th roots of unity (Abate & Whitt 1992), from the evaluator that
+the Panjer tables read too; it is built only where that costs no more
 than the compound route's draws (:func:`_family_table_max`), and not where
-b d is subnormal or 1/d overflows.  It shares no p.g.f. evaluation with
-the Panjer tables, and no code with the series oracle, that check it.
+b d is subnormal or 1/d overflows.  The series oracle checks both tables.
 
 Route auto, the default, has no tempering rejection: its table and routes
 c and d have no tempering step, and route a skips it at c = 1
@@ -105,6 +105,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import (
+    _LOG_TABLE_TAIL,
+    GDS_TABLE_MAX,
+    _family_cdf,
+    _log_jump_mass,
+    _tdl_family,
+)
 from .coeffs import _abs_binom_sequence, _chernoff_index, _log1m_cs
 from .errors import (
     DomainError,
@@ -130,20 +137,12 @@ from .params import (
 #: support cap for heavy-tailed integer draws
 SIBUYA_SUPPORT_CAP = 10**9
 
-#: longest inversion table (counts, jumps, the gds law, route auto's); longer
-#: ones take another method
-GDS_TABLE_MAX = 1 << 17
-
 #: jumps drawn at a time by the compound routes c and d
 JUMP_BLOCK = 1 << 16
 
 #: route c (a < 0) draws the closed form NB(c, -a N) above this many
 #: non-zero jumps per draw, b |(1-c)^a - 1|; below it the thinned compound
 NEG_JUMPS_MAX = 4.0
-
-#: points of the unit circle at which a family table's p.g.f. is evaluated
-#: at a time, so the build's temporaries stay small
-_PGF_BLOCK = 1 << 12
 
 #: route auto's family table pays where its build costs no more than the
 #: compound route's draws (measured crossover): one entry costs about as
@@ -158,9 +157,6 @@ _CLOSED_FORM_JUMPS = 9.0
 #: measured crossover is nearer 0.25-0.3, so up to 0.4 it keeps its
 #: unsplit draw, within about 10% of the split one there)
 _ZERO_SPLIT_MIN = 0.4
-
-#: log of the mass an inversion table may leave out
-_LOG_TABLE_TAIL = math.log(1e-17)
 
 #: log of the smallest normal double
 _LOG_TINY = math.log(sys.float_info.min)
@@ -357,18 +353,6 @@ def _table_size(log_sigma: float, log_pgf) -> int | None:
     return _chernoff_index(log_sigma, log_pgf, _LOG_TABLE_TAIL, GDS_TABLE_MAX)
 
 
-def _log_jump_mass(a: float, c: float) -> float:
-    """log |h| with h = (1-c)^a - 1: the mass 1 - (1-c)^a of the non-zero
-    GDS-Sibuya(a, c) jumps for a > 0, and (1-c)^a - 1 = (1-c)^a P(X > 0)
-    for the NB(c, -a) jumps of a < 0; 0 at c = 1."""
-    if c == 1.0:
-        return 0.0
-    x = a * math.log1p(-c)
-    if x > 0:
-        return x + math.log(-math.expm1(-x))
-    return math.log(-math.expm1(x)) if x < 0 else -math.inf  # a c below the subnormals
-
-
 def _jump_cdf(a: float, c: float, zero: bool = False) -> np.ndarray | None:
     """CDF table over j = 0, 1, ... of the jumps of routes c and d given
     X > 0, NB(c, -a) (a < 0) or GDS-Sibuya(a, c) (a > 0), or with ``zero``
@@ -478,82 +462,6 @@ def _compound(gen: np.random.Generator, counts: np.ndarray, draw) -> np.ndarray:
         at_ends[i0:i1] = csum[ends[i0:i1] - lo - 1]
         carry = int(csum[-1])
     return np.diff(at_ends, prepend=0)
-
-
-# ---------------------------------------------------------------------------
-# the family's own PMF table (route auto)
-
-
-def _family_log_pgf(a: float, c: float, beta: float, power, log_r, arg_w) -> tuple:
-    """log |G| and arg G of G(s) = outer(beta ((1-cs)^a - (1-c)^a)), outer
-    x^power of 1 + x, or exp at ``power`` None, from log |r| and arg r of
-    r = (1 - cs) / (1 - c).  In polar form a real s (arg r = 0) and the
-    unit circle share one evaluation in real arithmetic.  The inner term is
-    beta (1-c)^a (r^a - 1), with r^a - 1 formed from expm1 and sin^2, so it
-    keeps its digits where (1-cs)^a and (1-c)^a agree in most of theirs (a
-    small c).  log |1 + x| is formed from x, as
-    log1p(x_re (2 + x_re) + x_im^2) / 2, so a small x keeps its digits
-    however large |power| is.  At a real s, G is finite and positive only
-    where log |G| is finite and arg G is 0: 1 + x <= 0 gives an infinite
-    modulus or an argument of power pi."""
-    scale = beta * np.exp(a * np.log1p(-c))
-    theta = a * arg_w
-    re = scale * (np.expm1(a * log_r) * np.cos(theta) - 2.0 * np.sin(0.5 * theta) ** 2)
-    im = scale * np.exp(a * log_r) * np.sin(theta)
-    if power is None:
-        return re, im
-    log_mod = 0.5 * np.log1p(re * (2.0 + re) + im * im)
-    return power * log_mod, power * np.arctan2(im, 1.0 + re)
-
-
-def _family_cdf(a: float, c: float, beta: float, power,
-                max_len: float = GDS_TABLE_MAX) -> np.ndarray | None:
-    """CDF table over k = 0, 1, ... of the count law with p.g.f.
-    G(s) = outer(beta ((1-cs)^a - (1-c)^a)), c < 1, in the coordinates of
-    the law registry (``power`` None for exp), or None where it would pass
-    ``max_len`` or ``GDS_TABLE_MAX`` entries.
-
-    It is sized before any work by :func:`_table_size`, from G itself,
-    which converges for s < 1/c, and is then one inverse FFT of G at the
-    M-th roots of unity, M the first power of two above K (Abate & Whitt
-    1992, *Oper. Res. Lett.* 12(5)), so the aliased mass is that bounded
-    tail.  Negative round-off is clipped to 0 and the
-    table is normalised by its own sum.  A subnormal beta, or an infinite
-    power, is refused: |power| would multiply the digits beta has lost.
-    """
-    if not 0.0 < c < 1.0:
-        return None
-    if power is not None and not (abs(beta) >= sys.float_info.min and math.isfinite(power)):
-        return None
-    log_c = math.log(c)
-
-    def log_pgf(f):
-        # G is finite and positive at a real s only where arg G is 0
-        log_r = _log1m_cs(log_c, f) - math.log1p(-c)
-        log_g, arg_g = _family_log_pgf(a, c, beta, power, log_r, 0.0)
-        return np.where(arg_g == 0.0, log_g, np.nan)
-
-    size = _table_size(-log_c, log_pgf)
-    if size is None or size > max_len:
-        return None
-    m = 1 << size.bit_length()
-    g = np.empty(m // 2 + 1, complex)
-    for lo in range(0, len(g), _PGF_BLOCK):
-        phi = np.arange(lo, min(lo + _PGF_BLOCK, len(g))) * (2.0 * math.pi / m)
-        # |1 - c e^(i phi)|^2 = (1-c)^2 + 4 c sin^2(phi/2), and its real part
-        # 1 - c cos(phi) = (1-c) + 2 c sin^2(phi/2): neither cancels
-        sin2 = np.sin(0.5 * phi) ** 2
-        with np.errstate(all="ignore"):
-            log_g, arg_g = _family_log_pgf(a, c, beta, power,
-                                           0.5 * np.log1p(4.0 * c * sin2 / (1.0 - c) ** 2),
-                                           np.arctan2(c * np.sin(phi), 2.0 * c * sin2 + (1.0 - c)))
-            g[lo:lo + len(phi)] = np.exp(log_g + 1j * arg_g)
-    pmf = np.fft.irfft(g, m)[: size + 1]
-    cdf = np.cumsum(np.maximum(pmf, 0.0, out=pmf))  # a copy: the FFT's M entries are freed
-    if not 0.0 < cdf[-1] < math.inf:
-        return None
-    cdf /= cdf[-1]
-    return cdf
 
 
 # ---------------------------------------------------------------------------
@@ -747,15 +655,6 @@ def _closed_form_fits(p: TdlParams | TdsParams) -> bool:
     """Whether route c's closed form NB(c, -a N) can be drawn at a < 0:
     the mean b (1-c)^a of N is under the generator cap."""
     return math.log(p.b) + p.a * math.log1p(-p.c) <= math.log(_POISSON_LAM_CAP)
-
-
-def _tdl_family(p: TdlParams | TdsParams) -> tuple:
-    """The family coordinates (a, c, beta, power) of a tdl or tds record, as
-    the law registry records them, in doubles."""
-    beta = math.copysign(p.b, p.a)
-    if p.d == 0:
-        return p.a, p.c, -beta, None
-    return p.a, p.c, beta * p.d, -1.0 / p.d
 
 
 def _family_table_max(p: TdlParams | TdsParams, n: int) -> float:

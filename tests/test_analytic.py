@@ -169,6 +169,22 @@ class TestLaplace:
                 family_laplace("tpl", tpl, t) - family_laplace("tps", tps, t)
             ) < 1e-6
 
+    @pytest.mark.parametrize("law, p", [
+        ("tps", TemperedStableParams(0.5, 1e12, 1.0)),
+        ("tps", TemperedStableParams(-0.5, 1e12, 1.0)),
+        ("tpl", TemperedLinnikParams(0.5, 1e12, 1.0, 2.0)),
+        ("tpl", TemperedLinnikParams(-0.5, 1e12, 1.0, 2.0)),
+    ])
+    def test_tempered_transforms_keep_their_digits_at_a_small_t(self, law, p):
+        # (theta+t)^gamma and theta^gamma agree in 10 of their digits, and
+        # lam times their difference is 50
+        t = 1e-10
+        with mp.workdps(60):
+            g, lam, theta = mp.mpf(p.gamma), mp.mpf(p.lam), mp.mpf(p.theta)
+            x = mp.sign(g) * lam * ((theta + t) ** g - theta**g)
+            want = mp.exp(-x) if law == "tps" else mp.exp(-p.delta * mp.log1p(x / p.delta))
+        assert family_laplace(law, p, t) == pytest.approx(float(want), rel=1e-12, abs=0)
+
     def test_gamma_transform(self):
         assert family_laplace("gamma", GammaParams(2.0, 3.0), 0.5) == pytest.approx(
             (1 + 2 * 0.5) ** -3.0
@@ -360,6 +376,18 @@ class TestPanjer:
     @pytest.mark.parametrize("a", [-1.5, -1.0, 0.5, 1.0])
     def test_matches_oracle_at_order_200(self, a, c, d):
         p = TdlParams(a, 1.5, c, d)
+        got = build_pmf_table(p, 200).p
+        ref = series_pmf("tdl", p, 200).p
+        rel = np.abs(got - ref) / np.maximum(ref, 1e-290)
+        assert rel.max() <= 1e-12
+
+    @pytest.mark.parametrize("p", [
+        TdlParams(0.5, 1e12, 1e-10, 0.0), TdlParams(0.5, 1e12, 1e-10, 0.5),
+        TdlParams(-1.0, 1e9, 1e-8, 0.0), TdlParams(-1.0, 1e9, 1e-8, 1.0),
+    ])
+    def test_matches_oracle_at_a_small_c(self, p):
+        # (1-c)^a and 1 agree in all but the last few of their digits, and b
+        # times their difference is a mean of 50 or 10
         got = build_pmf_table(p, 200).p
         ref = series_pmf("tdl", p, 200).p
         rel = np.abs(got - ref) / np.maximum(ref, 1e-290)

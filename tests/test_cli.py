@@ -92,6 +92,16 @@ class TestPmfCommand:
         assert res.exit_code == 0
         assert res.output.splitlines()[-2].startswith("1600,0.0,")
 
+    def test_float_box_corners_print_a_table(self, runner):
+        # (1-c)^a = 1e600, and b d = 1e310: each once an unhandled error (exit 1)
+        res = invoke(runner, "pmf", "-a", "-50", "-b", "1e-300", "-c", "0.999999999999",
+                     "-d", "0", "--kmax", "400")
+        assert res.exit_code == 0
+        res = invoke(runner, "pmf", "-a", "-50", "-b", "1e10", "-c", "1e-300", "-d", "1e300",
+                     "--kmax", "40")
+        assert res.exit_code == 0
+        assert res.output.splitlines()[1] == "0,1.0,1.0"
+
     def test_domain_error_exit_code(self, runner):
         res = runner.invoke(
             main, ["pmf", "-a", "-1", "-b", "1", "-c", "1", "-d", "1"]
@@ -335,6 +345,13 @@ class TestMomentsCommand:
             main, ["moments", "-a", "0", "-b", "1", "-c", "0.5", "-d", "1"]
         )
         assert res.exit_code == 5
+
+    @pytest.mark.parametrize("c", ["1e-300", "0.999999999999"])
+    def test_moments_past_double_precision_exit_3(self, runner, c):
+        # mu underflows to 0 at c = 1e-300; (1-c)^(a-1) overflows near c = 1
+        res = runner.invoke(main, ["moments", "-a", "-50", "-b", "1e-300", "-c", c, "-d", "0"])
+        assert res.exit_code == 3
+        assert res.output.startswith("error: ")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_tds_is_the_d_zero_member(self, runner, fmt):

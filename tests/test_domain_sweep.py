@@ -9,7 +9,7 @@ times the median call of its front end on its law.
 
 Every inversion table of the sampler is held to the same rule on every
 tdl/tds point of the sample and of the float box below, and on the count
-laws' extreme points: route auto's ``sampler._family_cdf``, the Poisson
+laws' extreme points: route auto's ``analytic._family_cdf``, the Poisson
 and NB counts of ``sampler._count_cdf`` (the thinned and unthinned counts
 of routes c and d, and the poisson and nb laws), and the jump and gds
 tables of ``sampler._jump_cdf``.  Each must return a CDF table or None,
@@ -24,7 +24,12 @@ a > 0 (its tempering rejection is budgeted by ``max_tries``), the default
 route at c = 1, and every law without routes at extreme points.  Route d,
 and the default route where it resolves to d (0 < a <= 1, c < 1), draw
 every non-zero jump, so their work grows with b and they are left out
-until that is bounded (ROADMAP item 6).
+until that is bounded (ROADMAP item 1).
+
+On the float box ``build_pmf_table``, ``family_pgf`` and ``tdl_moments``
+are held to the bounded-time rule too, and the values they return are
+checked: each table against ``series_pmf``, and the p.g.f. against a
+60-digit mpmath closed form.
 """
 
 import dataclasses
@@ -35,7 +40,9 @@ import statistics
 import time
 import warnings
 
+import mpmath as mp
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from tdlinnik import (
@@ -52,14 +59,17 @@ from tdlinnik import (
     TemperedLinnikParams,
     TemperedStableParams,
     build_pmf_table,
+    family_pgf,
     moments_from_pmf,
     sample_batch,
     series_pmf,
     tdl_moments,
 )
+from tdlinnik import oracle
+from tdlinnik.analytic import _family_cdf, _log_jump_mass, _tdl_family
 from tdlinnik.cli import main
 from tdlinnik.laws import LAWS
-from tdlinnik.sampler import _count_cdf, _family_cdf, _jump_cdf, _log_jump_mass, _tdl_family
+from tdlinnik.sampler import _count_cdf, _jump_cdf
 
 SEED = 2016
 N_TDL = 300
@@ -204,6 +214,12 @@ def test_every_call_returns_or_fails_typed_in_bounded_time():
         ]
     calls += [("series_pmf", tag, (series_pmf, tag, p, ORDER)) for tag, p in OTHER_LAWS]
     calls += [("cli pmf", tag, (cli_pmf, tag, p)) for tag, p in OTHER_LAWS]
+    for p in FLOAT_BOX:
+        calls += [
+            ("build_pmf_table", "float box", (build_pmf_table, p, KMAX)),
+            ("family_pgf", "float box", (family_pgf, "tdl", p, 0.5)),
+            ("tdl_moments", "float box", (tdl_moments, p)),
+        ]
     assert_bounded(calls)
 
 
@@ -232,6 +248,42 @@ def test_every_draw_on_the_float_box_returns_or_fails_typed_in_bounded_time():
             routes = ("a", "auto") if p.c == 1 else ("a",)
         calls += [(f"sample_batch route {r}", "tdl", (draw, "tdl", p, r)) for r in routes]
     assert_bounded(calls)
+
+
+def test_float_box_tables_match_the_series_or_fail_typed(monkeypatch):
+    # at 40 digits 1 - c and 1 + b d h round to 1 where c or d is 1e-300,
+    # so the series runs at 40 + log10(1 / min(c, d)) digits there
+    for p in FLOAT_BOX:
+        try:
+            got = build_pmf_table(p, 40).p
+        except TdlError:
+            continue
+        tiny = min(x for x in (p.c, p.d, 1.0) if x > 0.0)
+        monkeypatch.setattr(oracle, "ORACLE_DPS", 40 + max(0, math.ceil(-math.log10(tiny))))
+        ref = series_pmf("tdl", p, 40).p
+        big = ref >= 1e-290
+        np.testing.assert_allclose(got[big], ref[big], rtol=1e-10, atol=0, err_msg=str(p))
+
+
+def _mp_tdl_pgf(p, s):
+    """The tdl p.g.f. at 60 digits, its inner term as
+    (1-c)^a expm1(a (log1p(-cs) - log1p(-c))), since 1 - 1e-300 rounds to 1
+    at 60 digits, and its outer power through log1p."""
+    with mp.workdps(60):
+        a, b, c, d, s = map(mp.mpf, (p.a, p.b, p.c, p.d, s))
+        if c < 1:
+            inner = (1 - c) ** a * mp.expm1(a * (mp.log1p(-c * s) - mp.log1p(-c)))
+        else:
+            inner = (1 - s) ** a
+        x = mp.sign(a) * b * inner
+        return mp.exp(-x) if d == 0 else mp.exp(-mp.log1p(d * x) / d)
+
+
+def test_float_box_pgf_matches_mpmath():
+    for p, s in itertools.product(FLOAT_BOX, (0.25, 0.5, 0.75)):
+        want = _mp_tdl_pgf(p, s)
+        if want >= mp.mpf("1e-300"):
+            assert family_pgf("tdl", p, s) == pytest.approx(float(want), rel=1e-12, abs=0), (p, s)
 
 
 def _exp(x):

@@ -7,6 +7,7 @@ from tdlinnik import (
     DegenerateDistribution,
     DomainError,
     EmptyGrid,
+    NumericalInstability,
     TailTooHeavy,
     TdlParams,
     build_pmf_table,
@@ -42,6 +43,15 @@ class TestTdlMoments:
     def test_c_one_rejected(self):
         with pytest.raises(DomainError):
             tdl_moments(TdlParams(0.5, 1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("p", [
+        TdlParams(-50.0, 1e-300, 1e-300, 0.0),  # mu underflows to 0
+        TdlParams(-50.0, 1e-300, 1.0 - 1e-12, 0.0),  # (1-c)^(a-1) overflows
+        TdlParams(0.5, 1e300, 0.5, 1e300),  # d mu^2 overflows
+    ])
+    def test_moments_past_double_precision_are_refused_typed(self, p):
+        with pytest.raises(NumericalInstability):
+            tdl_moments(p)
 
     def test_poisson_tweedie_dispersion(self):
         # at d = 0 the dispersion index is (1 - a c)/(1 - c) and is >= 1

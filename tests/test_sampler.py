@@ -40,14 +40,13 @@ from tdlinnik import (
     tdl_moments,
 )
 from tdlinnik import sampler
+from tdlinnik.analytic import _family_cdf, _tdl_family
 from tdlinnik.sampler import (
     _compound,
     _count_cdf,
-    _family_cdf,
     _family_table_max,
     _jump_cdf,
     _table_draws,
-    _tdl_family,
 )
 
 import test_acceptance
